@@ -100,8 +100,15 @@ class Prng {
   std::uint64_t geometric(double p) {
     if (p >= 1.0) return 0;
     if (p <= 0.0) return ~0ULL;
+    return geometric_log1m(std::log1p(-p));
+  }
+
+  /// geometric(p) for p in (0, 1), with `log1m_p` = std::log1p(-p) hoisted
+  /// out by a caller that draws many times with the same p.  Same draw and
+  /// same bits as geometric(p).
+  std::uint64_t geometric_log1m(double log1m_p) {
     const double u = 1.0 - uniform();  // (0, 1]
-    return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
+    return static_cast<std::uint64_t>(std::floor(std::log(u) / log1m_p));
   }
 
   /// Exponential with the given mean (> 0).

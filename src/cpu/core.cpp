@@ -38,6 +38,7 @@ void Core::import_state(const State& s) {
   slot_ = s.slot;
   stats_base_ = s.stats_base;
   next_id_ = s.next_id;
+  sb_pos_ = static_cast<std::uint32_t>(next_id_ % scoreboard_.size());
   scoreboard_ = s.scoreboard;
   outstanding_ = s.outstanding;
   stats_ = s.stats;
@@ -131,10 +132,13 @@ void Core::run_batched(TraceSource& trace, std::uint64_t max_instrs) {
 }
 
 void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
-  const InstrId id = next_id_++;
+  ++next_id_;
+  const std::uint32_t window = config_.scoreboard_window;
+  const std::uint32_t pos = sb_pos_;
+  if (++sb_pos_ == window) sb_pos_ = 0;
 
   // 1. Dependence check: does this instruction consume an unreturned load?
-  Blocker& slot = scoreboard_[id % scoreboard_.size()];
+  Blocker& slot = scoreboard_[pos];
   if (slot.ready != kNoCycle) {
     if (slot.ready > now_) stall_until(slot, StallReason::kDependence);
     slot = Blocker{};
@@ -172,9 +176,11 @@ void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
       // 3. Register the consumer's blocker (keep the latest-finishing
       // producer if several loads feed the same consumer slot).
       if (dep_dist > 0) {
-        assert(dep_dist < scoreboard_.size() &&
-               "trace dep_dist exceeds scoreboard window");
-        Blocker& dep = scoreboard_[(id + dep_dist) % scoreboard_.size()];
+        assert(dep_dist < window && "trace dep_dist exceeds scoreboard window");
+        // pos < window and dep_dist < window, so one subtract wraps it.
+        std::uint32_t at = pos + dep_dist;
+        if (at >= window) at -= window;
+        Blocker& dep = scoreboard_[at];
         if (dep.ready == kNoCycle || res.complete > dep.ready) {
           dep.ready = res.complete;
           dep.commit = res.commit;

@@ -273,6 +273,9 @@ class Core {
   Cycle stats_base_ = 0;  ///< cycle at the last reset_stats()
   InstrId next_id_ = 0;
   std::vector<Blocker> scoreboard_;  ///< ring keyed by instr id % window
+  /// next_id_ % scoreboard_.size(), kept by wrapping so the hot path never
+  /// divides; import_state() recomputes it from next_id.
+  std::uint32_t sb_pos_ = 0;
   /// Outstanding (non-merged) DRAM fills; bounded by mlp_window.
   std::vector<MemAccessResult> outstanding_;
   CoreStats stats_;

@@ -53,24 +53,30 @@ struct CacheStats {
     const auto a = accesses();
     return a ? static_cast<double>(misses()) / static_cast<double>(a) : 0.0;
   }
+
+  friend bool operator==(const CacheStats&, const CacheStats&) = default;
 };
 
 class Cache {
  public:
-  /// One cache line's tag state.  Public because it is part of Cache::State.
+  /// One cache line's tag state: the checkpoint record.  The live arrays
+  /// are per-lane (see the private section); export_state()/import_state()
+  /// convert to and from this form.
   struct Line {
     Addr tag = kNoAddr;
     bool valid = false;
     bool dirty = false;
     bool prefetched = false;  ///< filled by fill(), not yet demand-touched
     std::uint64_t lru_stamp = 0;  ///< larger = more recently used
+
+    friend bool operator==(const Line&, const Line&) = default;
   };
 
   /// Complete mutable state: every line (tags, dirty/prefetch bits, LRU
   /// stamps), the tree-PLRU bits, the global stamp counter, the random-
   /// victim PRNG stream, and the statistics.  import_state() requires a
   /// Cache constructed with the same CacheConfig; round-trips bit-exactly
-  /// (src/replay/checkpoint.h).
+  /// (src/replay/checkpoint.h).  An invalid line is exported as Line{}.
   struct State {
     std::vector<Line> lines;
     std::vector<std::uint8_t> plru_bits;
@@ -128,15 +134,34 @@ class Cache {
                     std::uint64_t* sets, Addr* tags) const;
 
  private:
+  static constexpr std::uint8_t kDirty = 1;
+  static constexpr std::uint8_t kPrefetched = 2;
+
+  /// Way of `tag` in the set starting at slot `base`, or assoc if absent.
+  std::uint32_t find_way(std::size_t base, Addr tag) const;
   std::uint32_t choose_victim(std::uint64_t set);
+  /// Evict slot `i` (counting the eviction and any dirty writeback) and
+  /// install `tag` there with `flags`.
+  AccessResult replace(std::size_t i, Addr tag, std::uint8_t flags);
   void touch(std::uint64_t set, std::uint32_t way);
 
   CacheConfig config_;
   std::uint64_t line_mask_;
   std::uint64_t set_mask_;
   std::uint32_t line_shift_;
-  std::vector<Line> lines_;                 ///< sets * assoc, set-major
-  std::vector<std::uint8_t> plru_bits_;     ///< assoc-1 tree bits per set
+  // Tag state as one lane per field, each sets * assoc long and set-major,
+  // so the hit scan reads only tags (128 B for a 16-way set) and the LRU
+  // victim scan only stamps.  Invariant: a way is invalid exactly when its
+  // tag is kNoAddr (tag_of() never yields it), and an invalid way always
+  // holds stamp 0 and no flags.  Ways only become invalid in the
+  // constructor and flush(), which zero the stamps; every install stamps
+  // the way with ++stamp_ >= 1.  So the lowest-index invalid way is the
+  // first strict minimum of the stamps, and LRU needs no separate
+  // invalid-way pass.
+  std::vector<Addr> tags_;
+  std::vector<std::uint64_t> stamps_;
+  std::vector<std::uint8_t> flags_;       ///< kDirty | kPrefetched
+  std::vector<std::uint8_t> plru_bits_;   ///< assoc-1 tree bits per set
   std::uint64_t stamp_ = 0;
   Prng victim_prng_{0xC0FFEEULL};
   CacheStats stats_;

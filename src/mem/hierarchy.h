@@ -10,7 +10,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 #include "mem/cache.h"
@@ -73,22 +74,27 @@ struct HierarchyStats {
 
 class MemoryHierarchy {
  public:
+  /// MSHR merge table: (line address, in-flight fill result) pairs, one
+  /// per line.
+  using InflightTable = std::vector<std::pair<Addr, MemAccessResult>>;
+
   /// Complete mutable state of an OWNING hierarchy: both cache tag arrays,
   /// DRAM bank/power anchors, the prefetcher table, the hierarchy counters,
   /// and the MSHR merge table (`inflight`).  The merge table must be in the
   /// checkpoint: whether a later load merges into an in-flight fill (and
   /// thus skips L1/L2 tag access entirely) depends on it, so dropping it
   /// would silently perturb both timing and tag state after a resume
-  /// (docs/MODEL.md §4c).  import_state() requires a hierarchy constructed
-  /// with the same HierarchyConfig; only the single-core owning form is
-  /// supported (export asserts owns_l2_and_dram()).
+  /// (docs/MODEL.md §4c).  export_state() sorts `inflight` by line address
+  /// so equal tables export equal.  import_state() requires a hierarchy
+  /// constructed with the same HierarchyConfig; only the single-core owning
+  /// form is supported (export asserts owns_l2_and_dram()).
   struct State {
     Cache::State l1;
     Cache::State l2;
     Dram::State dram;
     StreamPrefetcher::State prefetcher;
     HierarchyStats stats;
-    std::unordered_map<Addr, MemAccessResult> inflight;
+    InflightTable inflight;
   };
 
   /// Single-core form: owns the L1, L2, and DRAM.
@@ -115,7 +121,7 @@ class MemoryHierarchy {
   /// existing MSHR entry must not be charged a new miss credit.  May return
   /// true for a just-completed fill, which is safe — that access hits.
   bool line_in_flight(Addr addr) const {
-    return inflight_.count(l1_.line_addr(addr)) != 0;
+    return find_inflight(l1_.line_addr(addr)) != inflight_.end();
   }
 
   const HierarchyConfig& config() const { return config_; }
@@ -152,6 +158,7 @@ class MemoryHierarchy {
   /// Train the prefetcher on a demand L2 miss and launch its requests.
   void run_prefetcher(Addr miss_line, Cycle t_req);
   void prune_inflight(Cycle now);
+  InflightTable::const_iterator find_inflight(Addr line) const;
 
   HierarchyConfig config_;
   Cache l1_;
@@ -162,8 +169,12 @@ class MemoryHierarchy {
   StreamPrefetcher prefetcher_;
   std::vector<Addr> prefetch_scratch_;
   HierarchyStats stats_;
-  /// Line address -> in-flight fill result (MSHR merge table).
-  std::unordered_map<Addr, MemAccessResult> inflight_;
+  /// The MSHR merge table, in insertion order.  A flat vector with linear
+  /// lookup: the table is nearly always empty or tiny (at most 9 live
+  /// entries, mean below 1, over six profiles), so a scan beats hashing and
+  /// no miss allocates a node.  It is not sized by the MSHR count because
+  /// stores take no MLP credit and can hold entries beyond it.
+  InflightTable inflight_;
 };
 
 }  // namespace mapg

@@ -1,10 +1,7 @@
 #include "replay/checkpoint.h"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
 #include "obs/obs.h"
 #include "replay/replay.h"
@@ -195,14 +192,10 @@ void hash(Fnv& f, const MemoryHierarchy::State& s) {
   f.u64(s.stats.dram_fills);
   f.u64(s.stats.prefetch_issued);
   f.u64(s.stats.prefetch_merges);
-  // The merge table's bucket order is not canonical; sort by line address
-  // so equal tables always hash equal.
-  std::vector<std::pair<Addr, MemAccessResult>> inflight(s.inflight.begin(),
-                                                         s.inflight.end());
-  std::sort(inflight.begin(), inflight.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  f.u64(inflight.size());
-  for (const auto& [addr, r] : inflight) {
+  // export_state() sorts the merge table by line address, so equal tables
+  // always hash equal.
+  f.u64(s.inflight.size());
+  for (const auto& [addr, r] : s.inflight) {
     f.u64(addr);
     hash(f, r);
   }

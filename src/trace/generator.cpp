@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace mapg {
 namespace {
@@ -14,6 +15,8 @@ Addr align_down(Addr a) { return a & ~(kAccessAlign - 1); }
 
 TraceGenerator::TraceGenerator(WorkloadProfile profile, std::uint64_t run_seed)
     : profile_(std::move(profile)), run_seed_(run_seed) {
+  dep_p_ = 1.0 / std::max(1.0, profile_.dep_dist_mean);
+  dep_log1m_p_ = std::log1p(-dep_p_);
   reset();
 }
 
@@ -51,7 +54,7 @@ void TraceGenerator::init_streams() {
 
 Addr TraceGenerator::next_stream_addr() {
   Stream& s = streams_[next_stream_];
-  next_stream_ = (next_stream_ + 1) % streams_.size();
+  if (++next_stream_ == streams_.size()) next_stream_ = 0;
   const Addr a = s.base + s.pos;
   s.pos += profile_.stream_stride_bytes;
   if (s.pos >= s.length) s.pos = 0;
@@ -70,9 +73,17 @@ Addr TraceGenerator::random_cold_addr() {
 
 std::uint16_t TraceGenerator::draw_dep_dist() {
   if (prng_.bernoulli(profile_.p_no_consumer)) return 0;
-  const double mean = std::max(1.0, profile_.dep_dist_mean);
-  // Geometric with mean `mean`: success probability 1/mean, support {1, ...}.
-  const std::uint64_t d = 1 + prng_.geometric(1.0 / mean);
+  // Geometric with mean max(1, dep_dist_mean): success probability dep_p_,
+  // support {1, ...}.  The branches mirror Prng::geometric(dep_p_); p >= 1
+  // draws nothing.
+  std::uint64_t failures;
+  if (dep_p_ >= 1.0)
+    failures = 0;
+  else if (dep_p_ <= 0.0)
+    failures = ~0ULL;
+  else
+    failures = prng_.geometric_log1m(dep_log1m_p_);
+  const std::uint64_t d = 1 + failures;
   return static_cast<std::uint16_t>(
       std::min<std::uint64_t>(d, profile_.dep_dist_max));
 }

@@ -45,6 +45,10 @@ class TraceGenerator final : public TraceSource {
   Prng prng_;
   std::vector<Stream> streams_;
   std::size_t next_stream_ = 0;
+  // draw_dep_dist's geometric parameters, fixed by the profile:
+  // p = 1 / max(1, dep_dist_mean) and log1p(-p), computed once.
+  double dep_p_ = 1.0;
+  double dep_log1m_p_ = 0.0;
 
   // Address-space layout: [0, hot) hot set, [hot, hot+stream) stream arena,
   // cold accesses may touch the entire working set.

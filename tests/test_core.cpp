@@ -4,8 +4,10 @@
 
 #include <vector>
 
+#include "common/prng.h"
 #include "cpu/core.h"
 #include "mem/hierarchy.h"
+#include "replay/checkpoint.h"
 #include "trace/trace_io.h"
 
 namespace mapg {
@@ -344,6 +346,113 @@ TEST(Core, CyclesDecomposeIntoBusyAndIdle) {
   const CoreStats& s = core.stats();
   EXPECT_EQ(s.busy_cycles() + s.idle_cycles(), s.cycles);
   EXPECT_EQ(s.penalty_cycles, 10u * s.stalls_dram);
+}
+
+// --- scoreboard ring -------------------------------------------------------
+// The scoreboard slot of instruction id is id % scoreboard_window, tracked
+// as a wrapping position.  These tests use a non-power-of-two window (97)
+// with dep_dist up to window - 1, so nearly every consumer slot wraps.
+
+constexpr std::uint32_t kOddWindow = 97;
+
+/// Loads (dep_dist 0..96, a third at exactly 96) over an L2-sized region
+/// and a cold region, interleaved with stores, divides and ALU ops.
+std::vector<Instr> ring_program(int n) {
+  Prng rng(0x97);
+  std::vector<Instr> prog;
+  prog.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const double u = rng.uniform();
+    const Addr addr = rng.bernoulli(0.7) ? rng.below(256 * 1024) & ~Addr{7}
+                                         : (1 << 24) + rng.below(1 << 26) * 8;
+    if (u < 0.35) {
+      const std::uint16_t dep =
+          rng.bernoulli(0.35)
+              ? static_cast<std::uint16_t>(kOddWindow - 1)
+              : static_cast<std::uint16_t>(rng.below(kOddWindow));
+      prog.push_back(load(addr, dep));
+    } else if (u < 0.45) {
+      prog.push_back(Instr{.op = OpClass::kStore, .addr = addr});
+    } else if (u < 0.46) {
+      prog.push_back(Instr{.op = OpClass::kDiv});
+    } else {
+      prog.push_back(alu());
+    }
+  }
+  return prog;
+}
+
+TEST(CoreRing, DepDistWindowMinusOneStallsTheExactConsumer) {
+  MemoryHierarchy mem(tiny_mem());
+  RecordingHandler h;
+  // The load is instruction 96 (ring position 96), so its consumer 192
+  // lives at (96 + 96) - 97 = 95: the wrap path.
+  std::vector<Instr> prog(96, alu());
+  prog.push_back(load(cold(0), kOddWindow - 1));
+  for (int i = 0; i < 200; ++i) prog.push_back(alu());
+  Core core(CoreConfig{.scoreboard_window = kOddWindow}, mem, &h);
+  VectorTraceSource src(prog);
+  core.run(src, prog.size());
+  ASSERT_EQ(h.events.size(), 1u);
+  EXPECT_EQ(h.events[0].start, 96u + (kOddWindow - 1));
+  EXPECT_TRUE(h.events[0].dram);
+}
+
+TEST(CoreRing, OddWindowMatchesAWideWindow) {
+  // While every dep_dist is below both windows, the ring size cannot
+  // change the result: each slot is cleared by its consumer before a later
+  // producer can reach it.
+  const std::vector<Instr> prog = ring_program(60'000);
+  CoreStats got, want;
+  Cycle got_now = 0, want_now = 0;
+  for (const std::uint32_t window : {kOddWindow, 1024u}) {
+    MemoryHierarchy mem(HierarchyConfig{});
+    Core core(CoreConfig{.issue_width = 2, .scoreboard_window = window}, mem);
+    VectorTraceSource src(prog);
+    core.run(src, prog.size());
+    (window == kOddWindow ? got : want) = core.stats();
+    (window == kOddWindow ? got_now : want_now) = core.now();
+  }
+  EXPECT_EQ(got_now, want_now);
+  EXPECT_EQ(got.instrs, want.instrs);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.stalls_dram, want.stalls_dram);
+  EXPECT_EQ(got.stalls_other, want.stalls_other);
+  EXPECT_EQ(got.stall_cycles_dram, want.stall_cycles_dram);
+  EXPECT_EQ(got.stall_cycles_other, want.stall_cycles_other);
+  EXPECT_EQ(got.mlp_limit_stalls, want.mlp_limit_stalls);
+  EXPECT_GT(got.stalls_dram, 100u);
+  EXPECT_GT(got.stalls_other, 100u);
+}
+
+TEST(CoreRing, ExportImportMidRingResumesIdentically) {
+  const std::vector<Instr> prog = ring_program(40'000);
+  // 12'345 % 97 = 26: the checkpoint lands mid-ring, with live blockers.
+  const std::size_t split = 12'345;
+  const CoreConfig cfg{.scoreboard_window = kOddWindow};
+
+  MemoryHierarchy mem_a(HierarchyConfig{});
+  Core a(cfg, mem_a);
+  VectorTraceSource src_a(prog);
+  a.run(src_a, split);
+  const Core::State core_state = a.export_state();
+  const MemoryHierarchy::State mem_state = mem_a.export_state();
+  a.run(src_a, prog.size() - split);
+
+  MemoryHierarchy mem_b(HierarchyConfig{});
+  Core b(cfg, mem_b);
+  b.import_state(core_state);
+  mem_b.import_state(mem_state);
+  VectorTraceSource src_b(
+      std::vector<Instr>(prog.begin() + static_cast<std::ptrdiff_t>(split),
+                         prog.end()));
+  b.run(src_b, prog.size() - split);
+
+  EXPECT_GT(a.stats().stalls_dram, 100u);
+  EXPECT_EQ(checkpoint_fingerprint(
+                capture_checkpoint(b, mem_b, prog.size(), false, 0)),
+            checkpoint_fingerprint(
+                capture_checkpoint(a, mem_a, prog.size(), false, 0)));
 }
 
 }  // namespace

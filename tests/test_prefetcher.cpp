@@ -184,5 +184,42 @@ TEST(HierarchyPrefetch, PointerChaseUnaffected) {
   EXPECT_NEAR(ratio, 1.0, 0.03);
 }
 
+// R-Tab.5 cells (mapg, prefetcher on, 200 k + 50 k instructions) with their
+// MSHR merge counts pinned.  Merges depend on the merge table's contents and
+// prune timing, so a change to how in-flight fills are tracked must leave
+// every count unchanged.  The cells cover demand-only merges (omnetpp), a
+// mix (lbm) and prefetch merges at two degrees (libquantum).
+struct PinnedPrefetchCell {
+  const char* workload;
+  std::uint32_t degree;
+  std::uint64_t merged;
+  std::uint64_t prefetch_merges;
+  std::uint64_t prefetch_issued;
+  std::uint64_t dram_fills;
+  std::uint64_t cycles;
+};
+
+TEST(HierarchyPrefetch, RTab5MergeCountsArePinned) {
+  const PinnedPrefetchCell cells[] = {
+      {"libquantum-like", 1, 17121, 17107, 8887, 169, 485007},
+      {"libquantum-like", 4, 80, 80, 8897, 159, 280263},
+      {"lbm-like", 2, 163, 156, 8950, 1910, 565028},
+      {"omnetpp-like", 2, 16, 0, 318, 5845, 1369140},
+  };
+  for (const PinnedPrefetchCell& c : cells) {
+    SCOPED_TRACE(c.workload);
+    SimConfig cfg;
+    cfg.instructions = 200'000;
+    cfg.warmup_instructions = 50'000;
+    cfg.mem.prefetch = on(c.degree);
+    const SimResult r = Simulator(cfg).run(*find_profile(c.workload), "mapg");
+    EXPECT_EQ(r.hier.merged, c.merged);
+    EXPECT_EQ(r.hier.prefetch_merges, c.prefetch_merges);
+    EXPECT_EQ(r.hier.prefetch_issued, c.prefetch_issued);
+    EXPECT_EQ(r.hier.dram_fills, c.dram_fills);
+    EXPECT_EQ(r.core.cycles, c.cycles);
+  }
+}
+
 }  // namespace
 }  // namespace mapg

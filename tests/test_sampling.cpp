@@ -9,6 +9,7 @@
 // degenerate clusters >= regions case is bit-identical to full simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +17,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "exec/engine.h"
 #include "exec/serialize.h"
@@ -29,8 +32,16 @@ namespace mapg {
 namespace {
 
 /// Unique-ish per-test temp path under the build dir's cwd.
+// Unique per test and per process: ctest runs every discovered test as its
+// own process, in parallel under -j, all in the same working directory.
 std::string tmp_path(const std::string& stem) {
-  return "test_sampling_" + stem + ".tmp";
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = info != nullptr ? std::string(info->test_suite_name()) +
+                                           "." + info->name()
+                                     : "global";
+  std::replace(name.begin(), name.end(), '/', '_');
+  return "test_sampling_" + name + "_" + stem + "_" +
+         std::to_string(::getpid()) + ".tmp";
 }
 
 struct TempFile {

@@ -14,12 +14,15 @@
 // decode, and StallSeries round-tripping StallEvent exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cpu/core.h"
 #include "mem/cache.h"
@@ -32,8 +35,16 @@
 namespace mapg {
 namespace {
 
+// Unique per test and per process: ctest runs every discovered test as its
+// own process, in parallel under -j, all in the same working directory.
 std::string tmp_path(const std::string& stem) {
-  return "test_trace_batch_" + stem + ".tmp";
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = info != nullptr ? std::string(info->test_suite_name()) +
+                                           "." + info->name()
+                                     : "global";
+  std::replace(name.begin(), name.end(), '/', '_');
+  return "test_trace_batch_" + name + "_" + stem + "_" +
+         std::to_string(::getpid()) + ".tmp";
 }
 
 struct TempFile {
