@@ -67,8 +67,23 @@ class Prng {
   static constexpr std::uint64_t min() { return 0; }
   static constexpr std::uint64_t max() { return ~0ULL; }
 
+  /// The 53-bit integer behind uniform(): uniform() is exactly
+  /// next53() * 2^-53.
+  std::uint64_t next53() { return next() >> 11; }
+
   /// Uniform double in [0, 1).  53-bit mantissa path.
-  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
+  double uniform() { return static_cast<double>(next53()) * 0x1.0p-53; }
+
+  /// Integer form of the compare `uniform() < p`: it holds exactly when
+  /// next53() < threshold(p).  k * 2^-53 and p * 2^53 are both exact, so
+  /// k * 2^-53 < p  <=>  k < p * 2^53  <=>  k < ceil(p * 2^53).  p <= 0 or
+  /// NaN never passes (0); p >= 1 always does (2^53).
+  static std::uint64_t threshold(double p) {
+    const double x = p * 0x1.0p53;  // exact: a power-of-two scale
+    if (!(x > 0.0)) return 0;
+    if (x >= 0x1.0p53) return 1ULL << 53;
+    return static_cast<std::uint64_t>(std::ceil(x));
+  }
 
   /// Uniform integer in [0, n).  Lemire's unbiased multiply-shift rejection.
   std::uint64_t below(std::uint64_t n) {
@@ -100,15 +115,18 @@ class Prng {
   std::uint64_t geometric(double p) {
     if (p >= 1.0) return 0;
     if (p <= 0.0) return ~0ULL;
-    return geometric_log1m(std::log1p(-p));
+    return geometric_at(next53(), std::log1p(-p));
   }
 
-  /// geometric(p) for p in (0, 1), with `log1m_p` = std::log1p(-p) hoisted
-  /// out by a caller that draws many times with the same p.  Same draw and
-  /// same bits as geometric(p).
-  std::uint64_t geometric_log1m(double log1m_p) {
-    const double u = 1.0 - uniform();  // (0, 1]
-    return static_cast<std::uint64_t>(std::floor(std::log(u) / log1m_p));
+  /// The geometric draw's expression at the 53-bit draw `k`:
+  /// floor(log(1 - k * 2^-53) / log1m_p), for log1m_p < 0.  A quotient too
+  /// large for 64 bits (a tiny p) saturates at ~0ULL, the count geometric()
+  /// returns for p <= 0.
+  static std::uint64_t geometric_at(std::uint64_t k, double log1m_p) {
+    const double u = 1.0 - static_cast<double>(k) * 0x1.0p-53;  // (0, 1]
+    const double q = std::floor(std::log(u) / log1m_p);
+    if (!(q < 0x1.0p64)) return ~0ULL;
+    return q > 0.0 ? static_cast<std::uint64_t>(q) : 0;
   }
 
   /// Exponential with the given mean (> 0).

@@ -125,6 +125,17 @@ Dram::Dram(DramConfig config) : config_(config) {
   assert(config_.valid() && "invalid DRAM configuration");
   channels_.resize(config_.channels);
   for (auto& ch : channels_) ch.banks.resize(config_.banks_per_channel);
+  const std::uint32_t lines_per_row = config_.lines_per_row();
+  shift_map_ = std::has_single_bit(config_.line_bytes) &&
+               std::has_single_bit(config_.channels) &&
+               std::has_single_bit(lines_per_row) &&
+               std::has_single_bit(config_.banks_per_channel);
+  if (shift_map_) {
+    line_shift_ = std::countr_zero(config_.line_bytes);
+    bank_drop_shift_ = std::countr_zero(config_.channels) +
+                       std::countr_zero(lines_per_row);
+    row_shift_ = std::countr_zero(config_.banks_per_channel);
+  }
 }
 
 Dram::~Dram() {
@@ -166,6 +177,16 @@ void Dram::map_address(Addr line_addr, std::uint32_t& channel,
   // Line-interleave across channels, then column within the row, then bank:
   // sequential lines hit the same row (per channel) until the row is
   // exhausted, which is what gives streaming workloads row-buffer locality.
+  if (shift_map_) {
+    // The same decomposition with every divisor a power of two.
+    const std::uint64_t line_no = line_addr >> line_shift_;
+    channel = static_cast<std::uint32_t>(line_no & (config_.channels - 1));
+    const std::uint64_t bank_row = line_no >> bank_drop_shift_;
+    bank = static_cast<std::uint32_t>(bank_row &
+                                      (config_.banks_per_channel - 1));
+    row = bank_row >> row_shift_;
+    return;
+  }
   std::uint64_t line_no = line_addr / config_.line_bytes;
   channel = static_cast<std::uint32_t>(line_no % config_.channels);
   line_no /= config_.channels;

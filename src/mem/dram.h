@@ -340,6 +340,13 @@ class Dram {
   bool policy_closes_row(std::uint64_t row) const;
 
   DramConfig config_;
+  /// map_address shifts and masks when line_bytes, channels,
+  /// lines_per_row() and banks_per_channel are all powers of two (every
+  /// preset), and divides otherwise.
+  bool shift_map_ = false;
+  int line_shift_ = 0;       ///< log2(line_bytes)
+  int bank_drop_shift_ = 0;  ///< log2(channels * lines_per_row())
+  int row_shift_ = 0;        ///< log2(banks_per_channel)
   std::vector<Channel> channels_;
   DramStats stats_;
 };

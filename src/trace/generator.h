@@ -2,6 +2,7 @@
 // unbounded instruction stream (see profile.h for the substitution rationale).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +11,62 @@
 #include "trace/profile.h"
 
 namespace mapg {
+
+/// Table form of the geometric draw Prng::geometric_at(k, log1m_p) over
+/// 53-bit draws k, for a fixed log1m_p = log1p(-p) with p in (0, 1).
+/// edge(m) is the first k at which the libm quotient reaches m, for
+/// m = 1 .. size(), size() = min(limit, kCap).  A draw at least kGuard away
+/// from every edge takes its failure count from the edges alone; a draw
+/// inside that guard band, or above a capped table, evaluates the libm
+/// expression itself.  For every k,
+///   min(failures(k), limit) == min(Prng::geometric_at(k, log1m_p), limit);
+/// docs/MODEL.md §4e gives the exactness argument.
+class GeometricTable {
+ public:
+  static constexpr unsigned kCap = 64;                 ///< most edges kept
+  static constexpr std::uint64_t kGuard = 1ULL << 20;  ///< band half-width
+  static constexpr int kGuideBits = 10;                ///< guide on k >> 43
+
+  GeometricTable() = default;
+  GeometricTable(double log1m_p, std::uint64_t limit);
+
+  std::uint64_t failures(std::uint64_t k) const {
+    const unsigned m = locate(k);
+    return answers(m, k) ? m : Prng::geometric_at(k, log1m_p_);
+  }
+
+  /// Number of edges at or below k: the guide entry plus a short walk.
+  unsigned locate(std::uint64_t k) const {
+    unsigned m = guide_[k >> (53 - kGuideBits)];
+    while (k >= edge_[m + 1]) ++m;
+    return m;
+  }
+
+  /// True when failures(k) evaluates libm rather than answering locate(k).
+  bool exact_band(std::uint64_t k) const { return !answers(locate(k), k); }
+
+  unsigned size() const { return size_; }
+  std::uint64_t edge(unsigned m) const { return edge_[m]; }
+
+ private:
+  /// Draws in [lo, lo + width) are answered by the table.
+  struct Span {
+    std::uint64_t lo = 0;
+    std::uint64_t width = 0;
+  };
+
+  /// True when `m` edges lie at or below k and k is outside every band.
+  bool answers(unsigned m, std::uint64_t k) const {
+    return k - span_[m].lo < span_[m].width;
+  }
+
+  double log1m_p_ = 0.0;
+  unsigned size_ = 0;
+  /// edge_[0] = 0, edge_[1 .. size_] ascending, edge_[size_ + 1] = ~0.
+  std::array<std::uint64_t, kCap + 2> edge_{0, ~0ULL};
+  std::array<Span, kCap + 1> span_{};
+  std::array<std::uint8_t, std::size_t{1} << kGuideBits> guide_{};
+};
 
 class TraceGenerator final : public TraceSource {
  public:
@@ -35,9 +92,9 @@ class TraceGenerator final : public TraceSource {
   };
 
   void init_streams();
+  Addr data_addr();
   Addr next_stream_addr();
-  Addr random_hot_addr();
-  Addr random_cold_addr();
+  Addr random_addr(Addr span);  ///< uniform aligned address in [0, span)
   std::uint16_t draw_dep_dist();
 
   WorkloadProfile profile_;
@@ -45,15 +102,28 @@ class TraceGenerator final : public TraceSource {
   Prng prng_;
   std::vector<Stream> streams_;
   std::size_t next_stream_ = 0;
-  // draw_dep_dist's geometric parameters, fixed by the profile:
-  // p = 1 / max(1, dep_dist_mean) and log1p(-p), computed once.
-  double dep_p_ = 1.0;
-  double dep_log1m_p_ = 0.0;
+
+  // Every `uniform() < p` decision of the draw as a Prng::threshold, fixed
+  // by the profile.  op_t_ holds the cumulative op-class sums in
+  // load, store, branch, mul, div, fp order; an op is the count of them a
+  // draw passes.
+  std::array<std::uint64_t, 6> op_t_{};
+  std::uint64_t chase_t_ = 0;        ///< p_pointer_chase
+  std::uint64_t stream_t_ = 0;       ///< p_stream
+  std::uint64_t stream_cold_t_ = 0;  ///< p_stream + p_cold
+  std::uint64_t no_consumer_t_ = 0;  ///< p_no_consumer
+  // Dependence distance: geometric with p = 1 / max(1, dep_dist_mean).
+  // p >= 1 and p <= 0 (an infinite mean) draw nothing and always count 0
+  // and ~0 failures; any other p draws once through the table.
+  bool dep_draws_ = false;
+  std::uint64_t dep_fixed_failures_ = 0;
+  GeometricTable dep_table_;
 
   // Address-space layout: [0, hot) hot set, [hot, hot+stream) stream arena,
-  // cold accesses may touch the entire working set.
-  Addr hot_base_ = 0;
-  Addr stream_base_ = 0;
+  // cold accesses may touch the entire working set.  Spans are at least
+  // one aligned access.
+  Addr hot_span_ = 0;
+  Addr cold_span_ = 0;
 };
 
 /// Non-stationary workload: alternates between two profiles every

@@ -104,6 +104,21 @@ TEST(Prng, GeometricEdgeCases) {
   Prng p(6);
   EXPECT_EQ(p.geometric(1.0), 0u);
   EXPECT_EQ(p.geometric(1.5), 0u);
+  EXPECT_EQ(p.geometric(0.0), ~0ULL);
+}
+
+TEST(Prng, GeometricSaturatesWhenTheCountOverflows) {
+  // p = 1e-30 puts floor(log(u) / log1p(-p)) beyond 2^64 for every draw
+  // k above ~1.6e5 of 2^53; the count saturates instead of overflowing the
+  // cast.
+  Prng p(8);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(p.geometric(1e-30), ~0ULL);
+  const double log1m = std::log1p(-1e-30);
+  EXPECT_EQ(Prng::geometric_at(0, log1m), 0u);
+  EXPECT_NEAR(static_cast<double>(Prng::geometric_at(1, log1m)), 1.11e14,
+              1e12);
+  EXPECT_EQ(Prng::geometric_at(1ULL << 40, log1m), ~0ULL);
+  EXPECT_EQ(Prng::geometric_at((1ULL << 53) - 1, log1m), ~0ULL);
 }
 
 TEST(Prng, ExponentialMeanMatches) {

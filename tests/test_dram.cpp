@@ -3,6 +3,8 @@
 // estimate/commit/completion information contract MAPG depends on.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/prng.h"
 #include "mem/dram.h"
 
@@ -62,6 +64,46 @@ TEST(Dram, AddressMappingRoundTrip) {
         EXPECT_EQ(b2, b);
         EXPECT_EQ(row2, row);
       }
+}
+
+TEST(Dram, MappingMatchesTheDivisionFormula) {
+  // Power-of-two geometries map with shifts and masks, others divide; both
+  // must equal the plain formula: line-interleave across channels, drop the
+  // column-in-row bits, then bank, then row.
+  std::vector<DramConfig> configs;
+  configs.push_back(test_config());
+  DramConfig odd = test_config();
+  odd.channels = 3;
+  odd.banks_per_channel = 6;
+  configs.push_back(odd);
+  DramConfig odd_row = test_config();
+  odd_row.row_bytes = 12 * odd_row.line_bytes;
+  configs.push_back(odd_row);
+  for (DramStandard s : {DramStandard::kDdr4_2400, DramStandard::kLpddr4_3200}) {
+    DramConfig preset = test_config();
+    apply_dram_standard(preset, s);
+    configs.push_back(preset);
+  }
+  Prng rng(77);
+  for (const DramConfig& cfg : configs) {
+    ASSERT_TRUE(cfg.valid());
+    Dram d(cfg);
+    for (int i = 0; i < 20000; ++i) {
+      const Addr line = i < 1000 ? static_cast<Addr>(i) * cfg.line_bytes
+                                 : rng.next() & ~Addr{cfg.line_bytes - 1};
+      std::uint64_t line_no = line / cfg.line_bytes;
+      const std::uint64_t want_ch = line_no % cfg.channels;
+      line_no = line_no / cfg.channels / cfg.lines_per_row();
+      const std::uint64_t want_bank = line_no % cfg.banks_per_channel;
+      const std::uint64_t want_row = line_no / cfg.banks_per_channel;
+      std::uint32_t ch, bank;
+      std::uint64_t row;
+      d.map_address(line, ch, bank, row);
+      ASSERT_EQ(ch, want_ch) << cfg.channels << " channels, line " << line;
+      ASSERT_EQ(bank, want_bank) << cfg.channels << " channels, line " << line;
+      ASSERT_EQ(row, want_row) << cfg.channels << " channels, line " << line;
+    }
+  }
 }
 
 TEST(Dram, SequentialLinesShareRowsAcrossChannels) {
