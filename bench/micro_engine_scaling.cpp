@@ -1,8 +1,8 @@
 // Execution-engine microbenchmarks (google-benchmark): sweep throughput at
 // 1/2/4/8 worker threads, and the result cache's hit/miss/store costs.
-// These guard the exec subsystem the same way micro_sim_throughput guards
-// the simulator: a scheduling or serialization regression shows up here
-// before it shows up as a slow reproduce.sh.
+// These guard the exec subsystem the way perfbench's direct-* workloads
+// guard the simulator: a scheduling or serialization regression shows up
+// here before it shows up as a slow reproduce.sh.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -3,7 +3,7 @@
 # BENCH_*.json at the repo root (the committed copies are the trajectory
 # record EXPERIMENTS.md §"Perf trajectory" quotes).
 #
-#   scripts/bench_report.sh [build_dir] [replay|serve|sampling|throughput|all] [extra bench args...]
+#   scripts/bench_report.sh [build_dir] [replay|serve|sampling|all] [extra bench args...]
 #
 # BENCH_replay.json carries the resume-aware census: replayed /
 # prefix_resumes / full_fallbacks cell counts, windows_saved, and the
@@ -12,12 +12,6 @@
 # BENCH_sampling.json carries the sampled-simulation record: speedup over
 # full simulation, per-metric projection error, and 95% CI coverage on a
 # 50M-instruction MAPGTRC2 trace (docs/TRACE.md §6).
-#
-# BENCH_throughput.json carries the batched-front-end record: full-sim
-# instr/s scalar vs batched per (workload, policy) cell, plus the
-# generator / file-reader / cache-decode microrates — every number is
-# emitted only after the bench's bit-identity gate passes (docs/MODEL.md
-# §4e).
 #
 # e.g.  scripts/bench_report.sh                      # build/, replay, tab1 axis
 #       scripts/bench_report.sh build serve          # serving QPS -> BENCH_serve.json
@@ -31,7 +25,7 @@ BUILD="${1:-build}"
 [ "$#" -gt 0 ] && shift
 MODE="${1:-replay}"
 case "$MODE" in
-  replay|serve|sampling|throughput|all) [ "$#" -gt 0 ] && shift ;;
+  replay|serve|sampling|all) [ "$#" -gt 0 ] && shift ;;
   *) MODE=replay ;;  # unrecognized first arg: treat it as a bench arg
 esac
 
@@ -55,11 +49,9 @@ case "$MODE" in
   replay)   run_bench micro_replay_speedup BENCH_replay.json "$@" ;;
   serve)    run_bench load_serve BENCH_serve.json "$@" ;;
   sampling) run_bench micro_sampling BENCH_sampling.json "$@" ;;
-  throughput) run_bench micro_sim_throughput BENCH_throughput.json "$@" ;;
   all)
     run_bench micro_replay_speedup BENCH_replay.json
     run_bench load_serve BENCH_serve.json
     run_bench micro_sampling BENCH_sampling.json
-    run_bench micro_sim_throughput BENCH_throughput.json
     ;;
 esac

@@ -75,16 +75,6 @@ class TeeTraceSource final : public TraceSource {
     inner_.reset();
   }
 
-  /// Bulk-fill from the inner source, then append the block to the buffer
-  /// (SoA→AoS transpose) — the batched front-end records through the same
-  /// tee without falling back to per-instruction forwarding.
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override {
-    inner_.next_batch(out, max);
-    for (std::size_t i = 0; i < out.count; ++i) buf_.push_back(out.get(i));
-    return out.count;
-  }
-
  private:
   TraceSource& inner_;
   std::vector<Instr>& buf_;
@@ -225,19 +215,10 @@ SimResult Simulator::run_impl(TraceSource& trace,
   // checkpoint differential proves it per stride).
   const std::uint64_t stride =
       (record != nullptr && hook) ? config_.checkpoint_stride : 0;
-  // Scalar vs batched front-end is a pure execution-strategy choice
-  // (SimConfig::batched): both drive the same exec_one semantics, so every
-  // path below is bit-identical under either.
-  auto run_core = [&](std::uint64_t n) {
-    if (config_.batched)
-      core.run_batched(trace, n);
-    else
-      core.run(trace, n);
-  };
   auto run_phase = [&](std::uint64_t phase_instrs, std::uint64_t phase_base,
                        bool in_warmup) {
     if (stride == 0) {
-      run_core(phase_instrs);
+      core.run(trace, phase_instrs);
       return;
     }
     std::uint64_t done = 0;
@@ -247,7 +228,7 @@ SimResult Simulator::run_impl(TraceSource& trace,
       const std::uint64_t chunk =
           std::min(phase_instrs - done, next_mark - abs);
       const std::uint64_t before = core.stats().instrs;
-      run_core(chunk);
+      core.run(trace, chunk);
       const std::uint64_t executed = core.stats().instrs - before;
       done += executed;
       if (executed < chunk) break;  // trace exhausted
@@ -352,10 +333,7 @@ ThermalResult Simulator::run_thermal(TraceSource& trace,
     double weighted_t = 0, total_dt = 0, peak = thermal.temperature_c();
     while (done < instrs) {
       const std::uint64_t chunk = std::min(epoch, instrs - done);
-      if (config_.batched)
-        core.run_batched(trace, chunk);
-      else
-        core.run(trace, chunk);
+      core.run(trace, chunk);
       done += chunk;
       const EpochSnap now = EpochSnap::take(core, controller);
       if (now.cycles == prev.cycles) break;  // trace exhausted

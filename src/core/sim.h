@@ -57,15 +57,6 @@ struct SimConfig {
   /// fast_forward precedent: equivalences stay falsifiable, never assumed
   /// by the cache.
   std::uint64_t checkpoint_stride = 1'000'000;
-  /// true: the front-end pulls fixed-size SoA InstrBlocks through
-  /// TraceSource::next_batch and executes them via Core::run_batched;
-  /// false (default): scalar next()/step().  Bit-identical either way
-  /// (micro_sim_throughput's identity gate and the batch property tests
-  /// prove it), and unlike fast_forward/checkpoint_stride this knob is
-  /// deliberately EXCLUDED from the experiment identity
-  /// (exec/serialize.cpp): it is a pure execution-strategy choice, like
-  /// `--jobs`, so cached results are shared across both modes.
-  bool batched = false;
 };
 
 struct SimResult {

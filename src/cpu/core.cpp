@@ -2,14 +2,36 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mapg {
+namespace {
+
+/// Kept out of line and cold so the issue loop pays one predicted compare.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_dep_dist_overflow(
+    std::uint16_t dep_dist, std::uint32_t window, InstrId id) {
+  throw std::out_of_range(
+      "trace load at instruction " + std::to_string(id) + " has dep_dist " +
+      std::to_string(dep_dist) + ", which needs a scoreboard window above " +
+      std::to_string(dep_dist) + " (core.scoreboard is " +
+      std::to_string(window) + ")");
+}
+
+}  // namespace
 
 Core::Core(CoreConfig config, MemoryHierarchy& mem, StallHandler* handler)
     : config_(config),
       mem_(mem),
       handler_(handler ? handler : &default_handler_) {
-  assert(config_.valid() && "invalid core configuration");
+  if (!config_.valid())
+    throw std::invalid_argument(
+        "invalid core configuration: issue_width " +
+        std::to_string(config_.issue_width) + ", mlp_window " +
+        std::to_string(config_.mlp_window) + ", scoreboard_window " +
+        std::to_string(config_.scoreboard_window) +
+        " (issue_width and mlp_window must be positive, scoreboard_window "
+        "above 1)");
   scoreboard_.resize(config_.scoreboard_window);
   outstanding_.reserve(config_.mlp_window);
 }
@@ -110,28 +132,9 @@ void Core::run(TraceSource& trace, std::uint64_t max_instrs) {
   }
 }
 
-void Core::run_batched(TraceSource& trace, std::uint64_t max_instrs) {
-  // Same per-instruction semantics as run() — exec_one is step()'s body —
-  // but fetched a block at a time, so the trace source fills SoA lanes
-  // without per-instruction virtual dispatch, and the derived cycles
-  // counter is refreshed per block instead of per instruction.  Statistics
-  // are only observed between run calls, so both deferrals are invisible.
-  InstrBlock block;
-  std::uint64_t done = 0;
-  while (done < max_instrs) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max_instrs - done, InstrBlock::kCapacity));
-    trace.next_batch(block, want);
-    if (block.count == 0) break;
-    for (std::size_t i = 0; i < block.count; ++i)
-      exec_one(block.op[i], block.addr[i], block.dep_dist[i]);
-    done += block.count;
-    stats_.cycles = now_ - stats_base_;
-    if (block.count < want) break;  // trace exhausted
-  }
-}
-
-void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
+bool Core::step(TraceSource& trace) {
+  Instr instr;
+  if (!trace.next(instr)) return false;
   ++next_id_;
   const std::uint32_t window = config_.scoreboard_window;
   const std::uint32_t pos = sb_pos_;
@@ -145,16 +148,16 @@ void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
   }
 
   ++stats_.instrs;
-  ++stats_.instr_by_class[static_cast<std::size_t>(op)];
+  ++stats_.instr_by_class[static_cast<std::size_t>(instr.op)];
 
-  switch (op) {
+  switch (instr.op) {
     case OpClass::kLoad: {
       // 2. MLP credit: a new load needs a free miss slot before it can
       // probe the hierarchy (MSHR-full semantics).  A load that merges
       // into an in-flight fill shares that entry and needs no credit.
       prune_outstanding();
       if (outstanding_.size() >= config_.mlp_window &&
-          !mem_.line_in_flight(addr)) {
+          !mem_.line_in_flight(instr.addr)) {
         const auto earliest = std::min_element(
             outstanding_.begin(), outstanding_.end(),
             [](const MemAccessResult& a, const MemAccessResult& b) {
@@ -169,16 +172,17 @@ void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
         prune_outstanding();
       }
 
-      const MemAccessResult res = mem_.load(addr, now_);
+      const MemAccessResult res = mem_.load(instr.addr, now_);
       if (res.served_by == ServedBy::kDram && !res.merged)
         outstanding_.push_back(res);
 
       // 3. Register the consumer's blocker (keep the latest-finishing
       // producer if several loads feed the same consumer slot).
-      if (dep_dist > 0) {
-        assert(dep_dist < window && "trace dep_dist exceeds scoreboard window");
+      if (instr.dep_dist > 0) {
+        if (instr.dep_dist >= window) [[unlikely]]
+          throw_dep_dist_overflow(instr.dep_dist, window, next_id_);
         // pos < window and dep_dist < window, so one subtract wraps it.
-        std::uint32_t at = pos + dep_dist;
+        std::uint32_t at = pos + instr.dep_dist;
         if (at >= window) at -= window;
         Blocker& dep = scoreboard_[at];
         if (dep.ready == kNoCycle || res.complete > dep.ready) {
@@ -194,7 +198,7 @@ void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
     case OpClass::kStore:
       // Retires through an unbounded write buffer: updates memory state
       // (and thus future latencies) but never blocks issue.
-      mem_.store(addr, now_);
+      mem_.store(instr.addr, now_);
       advance_slot();
       break;
     case OpClass::kDiv:
@@ -212,12 +216,6 @@ void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
       advance_slot();
       break;
   }
-}
-
-bool Core::step(TraceSource& trace) {
-  Instr instr;
-  if (!trace.next(instr)) return false;
-  exec_one(instr.op, instr.addr, instr.dep_dist);
   stats_.cycles = now_ - stats_base_;
   return true;
 }

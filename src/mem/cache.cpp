@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mapg {
 
@@ -17,7 +19,14 @@ bool CacheConfig::valid() const {
 }
 
 Cache::Cache(CacheConfig config) : config_(config) {
-  assert(config_.valid() && "invalid cache geometry");
+  if (!config_.valid())
+    throw std::invalid_argument(
+        "invalid " + config_.name + " cache geometry: " +
+        std::to_string(config_.size_bytes) + " B, " +
+        std::to_string(config_.assoc) + "-way, " +
+        std::to_string(config_.line_bytes) +
+        " B lines (needs a power-of-two line size and a whole, power-of-two "
+        "number of sets)");
   line_mask_ = config_.line_bytes - 1;
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(
       static_cast<std::uint64_t>(config_.line_bytes)));
@@ -35,23 +44,6 @@ std::uint64_t Cache::set_index(Addr addr) const {
 
 Addr Cache::tag_of(Addr addr) const {
   return addr >> line_shift_;  // full line number as tag; simple and exact
-}
-
-void Cache::decode_block(const Addr* addrs, std::size_t n, Addr* lines,
-                         std::uint64_t* sets, Addr* tags) const {
-  // One pass per output lane: each loop body is a single shift/mask with no
-  // cross-iteration dependence, which is exactly the shape auto-vectorizers
-  // turn into SIMD mask/shift instructions.
-  const std::uint64_t line_mask = line_mask_;
-  const std::uint32_t line_shift = line_shift_;
-  const std::uint64_t set_mask = set_mask_;
-  if (lines != nullptr)
-    for (std::size_t i = 0; i < n; ++i) lines[i] = addrs[i] & ~line_mask;
-  if (sets != nullptr)
-    for (std::size_t i = 0; i < n; ++i)
-      sets[i] = (addrs[i] >> line_shift) & set_mask;
-  if (tags != nullptr)
-    for (std::size_t i = 0; i < n; ++i) tags[i] = addrs[i] >> line_shift;
 }
 
 std::uint32_t Cache::find_way(std::size_t base, Addr tag) const {

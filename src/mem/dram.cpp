@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "obs/obs.h"
 
@@ -109,12 +111,11 @@ void apply_dram_standard(DramConfig& cfg, DramStandard standard) {
   }
 }
 
-bool DramConfig::valid() const {
+bool DramConfig::simulable() const {
   if (channels == 0 || banks_per_channel == 0) return false;
   if (line_bytes == 0 || !std::has_single_bit(line_bytes)) return false;
   if (row_bytes < line_bytes || row_bytes % line_bytes != 0) return false;
   if (t_cl == 0 || t_bl == 0) return false;
-  if (t_refi > 0 && t_rfc >= t_refi) return false;
   if (queue_depth > 0 && write_starve_limit == 0) return false;
   if (hybrid_addr_bits >= 64) return false;
   if (!power.valid()) return false;
@@ -122,7 +123,14 @@ bool DramConfig::valid() const {
 }
 
 Dram::Dram(DramConfig config) : config_(config) {
-  assert(config_.valid() && "invalid DRAM configuration");
+  if (!config_.simulable())
+    throw std::invalid_argument(
+        "invalid DRAM configuration: " + std::to_string(config_.channels) +
+        " channels, " + std::to_string(config_.banks_per_channel) +
+        " banks, " + std::to_string(config_.line_bytes) + " B lines, " +
+        std::to_string(config_.row_bytes) +
+        " B rows (see DramConfig::simulable for the timing and power "
+        "rules)");
   channels_.resize(config_.channels);
   for (auto& ch : channels_) ch.banks.resize(config_.banks_per_channel);
   const std::uint32_t lines_per_row = config_.lines_per_row();

@@ -155,7 +155,14 @@ struct DramConfig {
   Cycle estimate_latency() const { return t_rcd + t_cl + t_bl; }
 
   std::uint32_t lines_per_row() const { return row_bytes / line_bytes; }
-  bool valid() const;
+  /// Everything the model needs to run; the Dram constructor requires it.
+  bool simulable() const;
+  /// simulable() plus t_rfc < t_refi.  A refresh that never ends is no real
+  /// part, but skip_refresh and refresh_overlap still define it, so the
+  /// model runs it (the randomized equivalence suite draws it on purpose).
+  bool valid() const {
+    return simulable() && (t_refi == 0 || t_rfc < t_refi);
+  }
 };
 
 /// Overwrite the timing-table fields of `cfg` (row_bytes, tRCD/tRP/tCL/tBL/

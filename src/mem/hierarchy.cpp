@@ -2,8 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mapg {
+
+void HierarchyConfig::check() const {
+  if (const char* bad = invalid_part())
+    throw std::invalid_argument(
+        std::string("invalid hierarchy configuration: ") + bad);
+}
 
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
     : config_(config),
@@ -13,7 +21,7 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
       l2_(owned_l2_.get()),
       dram_(owned_dram_.get()),
       prefetcher_(config.prefetch) {
-  assert(config_.valid() && "invalid hierarchy configuration");
+  config_.check();
 }
 
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig config, Cache& shared_l2,
@@ -23,9 +31,11 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config, Cache& shared_l2,
       l2_(&shared_l2),
       dram_(&shared_dram),
       prefetcher_(config.prefetch) {
-  assert(config_.valid() && "invalid hierarchy configuration");
-  assert(shared_l2.config().line_bytes == config.l1d.line_bytes &&
-         "shared L2 line size must match the private L1");
+  config_.check();
+  if (shared_l2.config().line_bytes != config.l1d.line_bytes)
+    throw std::invalid_argument(
+        "invalid hierarchy configuration: shared L2 line size must match "
+        "the private L1D");
 }
 
 MemoryHierarchy::State MemoryHierarchy::export_state() const {

@@ -39,11 +39,19 @@ struct HierarchyConfig {
   /// Optional L2 stream prefetcher (off by default; R-Tab.5).
   PrefetcherConfig prefetch{};
 
-  bool valid() const {
-    return l1d.valid() && l2.valid() && dram.valid() && prefetch.valid() &&
-           l1d.line_bytes == l2.line_bytes &&
-           l2.line_bytes == dram.line_bytes;
+  bool valid() const { return invalid_part() == nullptr; }
+  /// The first part that fails validation, or nullptr when all are valid.
+  const char* invalid_part() const {
+    if (!l1d.valid()) return "L1D cache geometry";
+    if (!l2.valid()) return "L2 cache geometry";
+    if (!dram.simulable()) return "DRAM configuration";
+    if (!prefetch.valid()) return "prefetcher configuration";
+    if (l1d.line_bytes != l2.line_bytes || l2.line_bytes != dram.line_bytes)
+      return "line sizes (L1D, L2 and DRAM must match)";
+    return nullptr;
   }
+  /// Throws std::invalid_argument naming invalid_part(), if any.
+  void check() const;
 };
 
 enum class ServedBy : std::uint8_t { kL1 = 0, kL2 = 1, kDram = 2 };

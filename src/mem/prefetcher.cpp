@@ -1,12 +1,18 @@
 #include "mem/prefetcher.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mapg {
 
 StreamPrefetcher::StreamPrefetcher(PrefetcherConfig config)
     : config_(config) {
-  assert(config_.valid() && "invalid prefetcher configuration");
+  if (!config_.valid())
+    throw std::invalid_argument(
+        "invalid prefetcher configuration: degree " +
+        std::to_string(config_.degree) + ", " +
+        std::to_string(config_.table_entries) +
+        " table entries (both must be positive when enabled)");
   table_.resize(config_.table_entries);
 }
 

@@ -1,7 +1,6 @@
 #include "multicore/multicore.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -37,8 +36,10 @@ struct Slot {
 
 MulticoreSim::MulticoreSim(MulticoreConfig config)
     : config_(std::move(config)) {
-  assert(config_.num_cores > 0 && "need at least one core");
-  assert(config_.mem.valid() && "invalid hierarchy configuration");
+  if (config_.num_cores == 0)
+    throw std::invalid_argument("invalid multicore configuration: need at "
+                                "least one core");
+  config_.mem.check();
 }
 
 MulticoreResult MulticoreSim::run(

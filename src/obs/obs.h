@@ -12,8 +12,8 @@
 //     first execution, then one relaxed atomic op per event on a per-thread
 //     shard;
 //   * trace macros — one relaxed load + branch while no tracer is attached.
-// That is what keeps `micro_sim_throughput` within noise of the OFF build
-// (the acceptance bound in docs/OBSERVABILITY.md).
+// That is what keeps full simulation within noise of the OFF build (the
+// acceptance bound in docs/OBSERVABILITY.md).
 #pragma once
 
 #include "obs/event_tracer.h"

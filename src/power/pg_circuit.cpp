@@ -1,14 +1,18 @@
 #include "power/pg_circuit.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace mapg {
 
 PgCircuit::PgCircuit(const PgCircuitConfig& config, const TechParams& tech)
     : config_(config), tech_(tech) {
-  assert(config_.valid() && "invalid PG circuit configuration");
-  assert(tech_.valid() && "invalid technology parameters");
+  if (!config_.valid())
+    throw std::invalid_argument(
+        "invalid PG circuit configuration (see PgCircuitConfig::valid)");
+  if (!tech_.valid())
+    throw std::invalid_argument(
+        "invalid technology parameters (see TechParams::valid)");
 
   entry_cycles_ = static_cast<Cycle>(
       std::ceil(tech_.ns_to_cycles(config_.entry_ns)));

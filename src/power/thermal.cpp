@@ -1,15 +1,19 @@
 #include "power/thermal.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace mapg {
 
 ThermalModel::ThermalModel(const ThermalConfig& config, const TechParams& tech)
     : config_(config), t_c_(config.t_ambient_c) {
-  assert(config_.valid() && "invalid thermal configuration");
-  assert(tech.valid());
-  (void)tech;
+  if (!config_.valid())
+    throw std::invalid_argument(
+        "invalid thermal configuration: r_th, tau_ms, leak_doubling_c and "
+        "epoch_instructions must be positive");
+  if (!tech.valid())
+    throw std::invalid_argument(
+        "invalid technology parameters (see TechParams::valid)");
 }
 
 double ThermalModel::step(double p_watts, double dt_s) {

@@ -332,12 +332,13 @@ void ServeServer::handle_connection(std::shared_ptr<Conn> conn) {
     conn->cv.wait(lk, [&] { return conn->outstanding == 0; });
   }
   ::close(conn->fd);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    conns_.erase(conn);
-    --active_conns_;
-  }
   MAPG_OBS_ONLY(MAPG_OBS_GAUGE_ADD("serve.connections.open", -1);)
+  // Notify while mu_ is held: once it is released, stop() may see zero
+  // connections and the server may be destroyed, so nothing after the
+  // unlock may touch `this`.
+  std::lock_guard<std::mutex> lk(mu_);
+  conns_.erase(conn);
+  --active_conns_;
   state_cv_.notify_all();
 }
 

@@ -100,12 +100,6 @@ class FilteredTraceSource final : public TraceSource {
   bool next(Instr& out) override;
   void reset() override { inner_.reset(); }
 
-  /// Bulk-fill from the inner source, then apply the filter rewrite in
-  /// place.  The filter is consulted in stream order, so its LRU state (and
-  /// therefore the rewritten stream) matches scalar next() exactly.
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override;
-
  private:
   TraceSource& inner_;
   CacheFilter& filter_;

@@ -150,8 +150,8 @@ Addr TraceGenerator::next_stream_addr() {
   return align_down(a);
 }
 
-// The draw helpers below are declared inline so they fold into next() and
-// next_batch; only this file calls them.
+// The draw helpers below are declared inline so they fold into next(); only
+// this file calls them.
 inline Addr TraceGenerator::random_addr(Addr span) {
   return align_down(prng_.below(span));
 }
@@ -204,24 +204,6 @@ bool TraceGenerator::next(Instr& out) {
   return true;
 }
 
-std::size_t TraceGenerator::next_batch(InstrBlock& out, std::size_t max) {
-  if (max > InstrBlock::kCapacity) max = InstrBlock::kCapacity;
-  // next() is non-virtual here (the class is final), so the whole draw
-  // inlines into one loop; the PRNG sequence is the scalar one verbatim.
-  // Lanes are written through a local index and the count stored once —
-  // an out.count read-modify-write per record would have to be reloaded
-  // around every next() call the compiler cannot prove alias-free.
-  Instr instr;
-  for (std::size_t i = 0; i < max; ++i) {
-    next(instr);
-    out.op[i] = instr.op;
-    out.dep_dist[i] = instr.dep_dist;
-    out.addr[i] = instr.addr;
-  }
-  out.count = max;
-  return max;
-}
-
 PhasedTraceGenerator::PhasedTraceGenerator(WorkloadProfile a,
                                            WorkloadProfile b,
                                            std::uint64_t phase_instructions,
@@ -252,33 +234,6 @@ bool PhasedTraceGenerator::next(Instr& out) {
   }
   ++emitted_in_phase_;
   return (in_a_ ? gen_a_ : gen_b_).next(out);
-}
-
-std::size_t PhasedTraceGenerator::next_batch(InstrBlock& out,
-                                             std::size_t max) {
-  if (max > InstrBlock::kCapacity) max = InstrBlock::kCapacity;
-  std::size_t n = 0;
-  while (n < max) {
-    if (emitted_in_phase_ >= phase_instructions_) {
-      emitted_in_phase_ = 0;
-      in_a_ = !in_a_;
-      ++switches_;
-    }
-    TraceGenerator& gen = in_a_ ? gen_a_ : gen_b_;
-    const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
-        max - n, phase_instructions_ - emitted_in_phase_));
-    Instr instr;
-    for (std::size_t i = 0; i < want; ++i) {
-      gen.next(instr);
-      out.op[n + i] = instr.op;
-      out.dep_dist[n + i] = instr.dep_dist;
-      out.addr[n + i] = instr.addr;
-    }
-    n += want;
-    emitted_in_phase_ += want;
-  }
-  out.count = n;
-  return n;
 }
 
 }  // namespace mapg

@@ -77,11 +77,6 @@ class TraceGenerator final : public TraceSource {
   bool next(Instr& out) override;  ///< Always returns true (unbounded).
   void reset() override;
 
-  /// Bulk draw: fills the block in one tight loop over the same PRNG
-  /// sequence next() consumes, so batch and scalar streams are identical.
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override;
-
   const WorkloadProfile& profile() const { return profile_; }
 
  private:
@@ -140,11 +135,6 @@ class PhasedTraceGenerator final : public TraceSource {
 
   bool next(Instr& out) override;  ///< Always returns true (unbounded).
   void reset() override;
-
-  /// Bulk draw clamped to the current phase's remaining instructions, so
-  /// phase switches land on exactly the same instruction as scalar next().
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override;
 
   /// Name of the profile currently generating ("a" phase first).
   const std::string& current_phase_name() const;

@@ -1,14 +1,8 @@
 #include "trace/trace_file.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 namespace mapg {
@@ -68,9 +62,9 @@ Instr unpack_record(const char* rec, std::uint64_t index) {
 }
 
 /// Decode `n` packed records starting at `rec` into the block's SoA lanes —
-/// the shared bulk path of FileTraceSource::next_batch and
-/// MmapTraceSource::next_batch.  Same op-class validation (and message) as
-/// unpack_record; `first_index` is the absolute index of rec[0].
+/// the bulk path of FileTraceSource::next_batch.  Same op-class validation
+/// (and message) as unpack_record; `first_index` is the absolute index of
+/// rec[0].
 void decode_records(const char* rec, std::uint64_t first_index, std::size_t n,
                     InstrBlock& out) {
   for (std::size_t i = 0; i < n; ++i, rec += kRecordSize) {
@@ -338,157 +332,6 @@ std::size_t FileTraceSource::next_batch(InstrBlock& out, std::size_t max) {
 }
 
 void FileTraceSource::seek(std::uint64_t pos) {
-  pos_ = std::min(pos, info_.records);
-}
-
-MmapTraceSource::MmapTraceSource(const std::string& path) : path_(path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw std::runtime_error("cannot open trace file " + path);
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw std::runtime_error("cannot open trace file " + path);
-  }
-  const auto file_size = static_cast<std::uint64_t>(st.st_size);
-  if (file_size > 0) {
-    void* m = ::mmap(nullptr, static_cast<std::size_t>(file_size), PROT_READ,
-                     MAP_PRIVATE, fd, 0);
-    if (m == MAP_FAILED) {
-      ::close(fd);
-      throw std::runtime_error("cannot open trace file " + path);
-    }
-    data_ = static_cast<const char*>(m);
-    map_len_ = file_size;
-  }
-  ::close(fd);  // the mapping keeps the file content reachable
-
-  // Header/index validation below mirrors FileTraceSource check-for-check
-  // (same error messages); on throw the partially constructed object's
-  // destructor does not run, so unmap manually.
-  try {
-    if (file_size < 8) throw std::runtime_error(path + ": truncated magic");
-    if (std::memcmp(data_, kMagicV1.data(), 8) == 0) {
-      if (file_size < kV1HeaderSize)
-        throw std::runtime_error(path + ": truncated MAPGTRC1 header");
-      info_.version = 1;
-      info_.records = get_u64(data_ + 8);
-      if (info_.records > kMaxRecords)
-        throw std::runtime_error(path + ": record count too large");
-      if (file_size < kV1HeaderSize + info_.records * kRecordSize)
-        throw std::runtime_error(
-            path + ": file shorter than the header's record count");
-      info_.chunk_size = std::max<std::uint64_t>(info_.records, 1);
-      info_.n_chunks = info_.records > 0 ? 1 : 0;
-      // v1 carries no digest: one pass over the mapping computes it, and
-      // doubles as the single chunk's verification.
-      info_.stream_digest = trace_digest_update(
-          data_ + kV1HeaderSize,
-          static_cast<std::size_t>(info_.records * kRecordSize),
-          kTraceDigestSeed);
-      if (info_.records > 0) {
-        ChunkMeta meta;
-        meta.offset = kV1HeaderSize;
-        meta.records = info_.records;
-        meta.digest = info_.stream_digest;
-        chunks_.push_back(meta);
-      }
-      verified_.assign(chunks_.size(), 1);
-      return;
-    }
-    if (std::memcmp(data_, kMagicV2.data(), 8) != 0)
-      throw std::runtime_error(path + ": not a MAPGTRC1/MAPGTRC2 trace");
-    if (file_size < kV2HeaderSize)
-      throw std::runtime_error(path + ": truncated MAPGTRC2 header");
-    info_.version = 2;
-    info_.records = get_u64(data_ + 8);
-    info_.chunk_size = get_u64(data_ + 16);
-    info_.n_chunks = get_u64(data_ + 24);
-    info_.stream_digest = get_u64(data_ + 32);
-    if (info_.records > kMaxRecords || info_.chunk_size == 0 ||
-        info_.n_chunks > (info_.records / info_.chunk_size) + 1)
-      throw std::runtime_error(path + ": malformed MAPGTRC2 header");
-    if (file_size < kV2HeaderSize + info_.n_chunks * kIndexEntrySize)
-      throw std::runtime_error(path + ": truncated chunk index");
-
-    chunks_.resize(info_.n_chunks);
-    std::uint64_t total = 0;
-    for (std::uint64_t i = 0; i < info_.n_chunks; ++i) {
-      const char* e = data_ + kV2HeaderSize + i * kIndexEntrySize;
-      chunks_[i].offset = get_u64(e);
-      chunks_[i].records = get_u64(e + 8);
-      chunks_[i].digest = get_u64(e + 16);
-      if (chunks_[i].records == 0 || chunks_[i].records > info_.chunk_size)
-        throw std::runtime_error(path + ": malformed chunk index entry " +
-                                 std::to_string(i));
-      if (chunks_[i].offset + chunks_[i].records * kRecordSize > file_size)
-        throw std::runtime_error(path + ": chunk " + std::to_string(i) +
-                                 " extends past end of file");
-      total += chunks_[i].records;
-    }
-    if (total != info_.records)
-      throw std::runtime_error(
-          path + ": chunk index records disagree with header count");
-    verified_.assign(chunks_.size(), 0);
-  } catch (...) {
-    if (data_ != nullptr)
-      ::munmap(const_cast<char*>(data_), static_cast<std::size_t>(map_len_));
-    throw;
-  }
-}
-
-MmapTraceSource::~MmapTraceSource() {
-  if (data_ != nullptr)
-    ::munmap(const_cast<char*>(data_), static_cast<std::size_t>(map_len_));
-}
-
-void MmapTraceSource::verify_chunk(std::uint64_t chunk_index) {
-  if (verified_[static_cast<std::size_t>(chunk_index)]) return;
-  const ChunkMeta& m = chunks_[static_cast<std::size_t>(chunk_index)];
-  const std::uint64_t digest = trace_digest_update(
-      data_ + m.offset, static_cast<std::size_t>(m.records * kRecordSize),
-      kTraceDigestSeed);
-  if (digest != m.digest)
-    throw std::runtime_error(path_ + ": chunk " + std::to_string(chunk_index) +
-                             " payload digest mismatch (corrupt trace)");
-  verified_[static_cast<std::size_t>(chunk_index)] = 1;
-}
-
-const char* MmapTraceSource::chunk_payload(std::uint64_t chunk_index) const {
-  return data_ + chunks_[static_cast<std::size_t>(chunk_index)].offset;
-}
-
-bool MmapTraceSource::next(Instr& out) {
-  if (pos_ >= info_.records) return false;
-  const std::uint64_t chunk =
-      info_.version == 1 ? 0 : pos_ / info_.chunk_size;
-  verify_chunk(chunk);
-  const std::uint64_t first = chunk * info_.chunk_size;
-  out = unpack_record(chunk_payload(chunk) + (pos_ - first) * kRecordSize,
-                      pos_);
-  ++pos_;
-  return true;
-}
-
-std::size_t MmapTraceSource::next_batch(InstrBlock& out, std::size_t max) {
-  out.clear();
-  if (max > InstrBlock::kCapacity) max = InstrBlock::kCapacity;
-  while (out.count < max && pos_ < info_.records) {
-    const std::uint64_t chunk =
-        info_.version == 1 ? 0 : pos_ / info_.chunk_size;
-    verify_chunk(chunk);
-    const std::uint64_t first = chunk * info_.chunk_size;
-    const std::uint64_t chunk_end =
-        first + chunks_[static_cast<std::size_t>(chunk)].records;
-    const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max - out.count, chunk_end - pos_));
-    decode_records(chunk_payload(chunk) + (pos_ - first) * kRecordSize, pos_,
-                   take, out);
-    pos_ += take;
-  }
-  return out.count;
-}
-
-void MmapTraceSource::seek(std::uint64_t pos) {
   pos_ = std::min(pos, info_.records);
 }
 

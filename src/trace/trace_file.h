@@ -96,11 +96,15 @@ class FileTraceSource final : public SeekableTraceSource {
   std::uint64_t pos() const override { return pos_; }
   std::uint64_t size() const override { return info_.records; }
 
-  /// Bulk read: decodes records straight out of the chunk buffer into the
-  /// block's SoA lanes (no per-record Instr round-trip), crossing chunk
-  /// boundaries as needed.  Identical stream + error contract to next().
+  /// Bulk read: decodes up to `max` records (clamped to
+  /// InstrBlock::kCapacity) straight out of the chunk buffer into the
+  /// block's SoA lanes, with no per-record Instr round-trip, crossing chunk
+  /// boundaries as needed.  Returns the count, also left in out.count.  The
+  /// contract is exactly "repeated next()": same stream, same errors, a
+  /// short batch means end-of-trace, and batches interleave freely with
+  /// next() because both advance the same cursor.
   std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override;
+                         std::size_t max = InstrBlock::kCapacity);
 
   const TraceFileInfo& info() const { return info_; }
   const std::string& path() const { return path_; }
@@ -130,59 +134,6 @@ class FileTraceSource final : public SeekableTraceSource {
   /// The file is assumed immutable while open — the same assumption the
   /// resident chunk buffer already makes.
   std::vector<char> verified_;
-};
-
-/// Zero-copy mmap variant of FileTraceSource: maps the whole file and
-/// decodes records directly from the mapping, so multi-GB traces feed
-/// batches without copying chunk payloads through a buffer (and without
-/// ever faulting in chunks the cursor skips over).  Same formats, same
-/// stream, same error contract:
-///  - the constructor performs exactly FileTraceSource's header/index
-///    validation (identical error messages) plus the v1 digest scan;
-///  - each chunk's payload digest is verified the first time the cursor
-///    enters it (memoized thereafter), so a corrupted chunk throws at the
-///    same record index as the buffered reader;
-///  - seek() clamps past-the-end, next() returns false at clean EOF.
-class MmapTraceSource final : public SeekableTraceSource {
- public:
-  explicit MmapTraceSource(const std::string& path);
-  ~MmapTraceSource() override;
-
-  MmapTraceSource(const MmapTraceSource&) = delete;
-  MmapTraceSource& operator=(const MmapTraceSource&) = delete;
-
-  bool next(Instr& out) override;
-  void reset() override { seek(0); }
-  void seek(std::uint64_t pos) override;
-  std::uint64_t pos() const override { return pos_; }
-  std::uint64_t size() const override { return info_.records; }
-
-  /// Bulk read decoding straight from the mapping — the zero-copy fast
-  /// path the batched front-end rides for on-disk traces.
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override;
-
-  const TraceFileInfo& info() const { return info_; }
-  const std::string& path() const { return path_; }
-
- private:
-  struct ChunkMeta {
-    std::uint64_t offset = 0;
-    std::uint64_t records = 0;
-    std::uint64_t digest = 0;
-  };
-
-  /// Digest-check `chunk_index` on first entry (throws on mismatch).
-  void verify_chunk(std::uint64_t chunk_index);
-  const char* chunk_payload(std::uint64_t chunk_index) const;
-
-  std::string path_;
-  const char* data_ = nullptr;  ///< whole-file mapping
-  std::uint64_t map_len_ = 0;
-  TraceFileInfo info_;
-  std::vector<ChunkMeta> chunks_;
-  std::vector<char> verified_;  ///< per-chunk digest memo (see above)
-  std::uint64_t pos_ = 0;
 };
 
 /// Compute the stream digest of an on-disk trace (either version) without

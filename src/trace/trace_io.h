@@ -31,7 +31,6 @@
 // simulator from externally captured traces (docs/TRACE.md).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -67,23 +66,6 @@ class VectorTraceSource final : public TraceSource {
   }
   void reset() override { pos_ = 0; }
 
-  /// AoS→SoA transpose straight from the backing vector.
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override {
-    if (max > InstrBlock::kCapacity) max = InstrBlock::kCapacity;
-    const std::size_t take =
-        std::min<std::size_t>(max, instrs_.size() - pos_);
-    for (std::size_t i = 0; i < take; ++i) {
-      const Instr& in = instrs_[pos_ + i];
-      out.op[i] = in.op;
-      out.dep_dist[i] = in.dep_dist;
-      out.addr[i] = in.addr;
-    }
-    out.count = take;
-    pos_ += take;
-    return take;
-  }
-
   std::size_t size() const { return instrs_.size(); }
 
  private:
@@ -108,22 +90,6 @@ class LimitedTraceSource final : public TraceSource {
     count_ = 0;
   }
 
-  /// Clamp to the remaining allowance, then let the inner source bulk-fill.
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override {
-    if (max > InstrBlock::kCapacity) max = InstrBlock::kCapacity;
-    const std::uint64_t left = limit_ - std::min(count_, limit_);
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max, left));
-    if (want == 0) {
-      out.clear();
-      return 0;
-    }
-    inner_.next_batch(out, want);
-    count_ += out.count;
-    return out.count;
-  }
-
  private:
   TraceSource& inner_;
   std::uint64_t limit_;
@@ -145,25 +111,6 @@ class SharedTraceView final : public SeekableTraceSource {
     return true;
   }
   void reset() override { pos_ = 0; }
-
-  /// AoS→SoA transpose straight from the shared buffer.
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override {
-    if (max > InstrBlock::kCapacity) max = InstrBlock::kCapacity;
-    const std::vector<Instr>& v = *instrs_;
-    const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max, v.size() - pos_));
-    const std::size_t base = static_cast<std::size_t>(pos_);
-    for (std::size_t i = 0; i < take; ++i) {
-      const Instr& in = v[base + i];
-      out.op[i] = in.op;
-      out.dep_dist[i] = in.dep_dist;
-      out.addr[i] = in.addr;
-    }
-    out.count = take;
-    pos_ += take;
-    return take;
-  }
 
   /// Position the cursor at an absolute instruction index (clamped to the
   /// buffer end).  Prefix-resume (src/replay/checkpoint.h) uses this to
@@ -196,16 +143,6 @@ class OffsetTraceSource final : public TraceSource {
     return true;
   }
   void reset() override { inner_.reset(); }
-
-  /// Bulk-fill from the inner source, then rebase the address lane in place
-  /// (a single predicated pass over one contiguous array).
-  std::size_t next_batch(InstrBlock& out,
-                         std::size_t max = InstrBlock::kCapacity) override {
-    inner_.next_batch(out, max);
-    for (std::size_t i = 0; i < out.count; ++i)
-      if (out.addr[i] != kNoAddr) out.addr[i] += offset_;
-    return out.count;
-  }
 
  private:
   TraceSource& inner_;

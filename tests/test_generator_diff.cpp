@@ -1,7 +1,7 @@
 // Differential tests for the integer-threshold trace generator.  The oracle
 // (tests/ref_generator.h) is the floating-point draw it replaced; every
 // built-in profile and a set of edge profiles must produce the same records
-// through next(), next_batch and PhasedTraceGenerator.  GeometricTable, the
+// through next() and PhasedTraceGenerator.  GeometricTable, the
 // log-free dependence-distance draw, is checked against the libm expression
 // it tabulates, and the saturating fix for huge or infinite means is pinned.
 #include <gtest/gtest.h>
@@ -25,8 +25,6 @@ using testref::RefTraceGenerator;
 constexpr std::uint64_t kDrawTop = 1ULL << 53;
 constexpr std::uint64_t kSeeds[] = {0, 1, 7, 42};
 constexpr std::size_t kRecords = std::size_t{1} << 20;
-/// 7 * 256: every batch size below divides it.
-constexpr std::size_t kChunk = 1792;
 
 ::testing::AssertionResult same(const Instr& want, const Instr& got,
                                 std::size_t i) {
@@ -40,47 +38,18 @@ constexpr std::size_t kChunk = 1792;
          << "}";
 }
 
-Instr lane(const InstrBlock& b, std::size_t i) {
-  Instr r;
-  r.op = b.op[i];
-  r.addr = b.addr[i];
-  r.dep_dist = b.dep_dist[i];
-  return r;
-}
-
-/// Draws `n` records from `src` through next_batch(`batch`).
-void fill_batched(TraceSource& src, std::size_t batch, std::vector<Instr>& out,
-                  std::size_t n) {
-  InstrBlock block;
-  out.clear();
-  while (out.size() < n) {
-    const std::size_t got = src.next_batch(block, batch);
-    for (std::size_t i = 0; i < got; ++i) out.push_back(lane(block, i));
-  }
-}
-
-/// `records` records of `profile` under `seed` through next() and
-/// next_batch at sizes 1, 7 and 256, each compared with the oracle.
+/// `records` records of `profile` under `seed` through next(), compared
+/// with the oracle.
 void expect_matches_oracle(const WorkloadProfile& profile, std::uint64_t seed,
                            std::size_t records) {
   SCOPED_TRACE(profile.name + " seed " + std::to_string(seed));
   RefTraceGenerator ref(profile, seed);
-  TraceGenerator scalar(profile, seed);
-  TraceGenerator b1(profile, seed), b7(profile, seed), b256(profile, seed);
-  std::vector<Instr> want(kChunk), got1, got7, got256;
-  for (std::size_t base = 0; base < records; base += kChunk) {
-    for (Instr& r : want) ref.next(r);
-    fill_batched(b1, 1, got1, kChunk);
-    fill_batched(b7, 7, got7, kChunk);
-    fill_batched(b256, 256, got256, kChunk);
-    for (std::size_t i = 0; i < kChunk; ++i) {
-      Instr s;
-      scalar.next(s);
-      ASSERT_TRUE(same(want[i], s, base + i)) << "next()";
-      ASSERT_TRUE(same(want[i], got1[i], base + i)) << "next_batch(1)";
-      ASSERT_TRUE(same(want[i], got7[i], base + i)) << "next_batch(7)";
-      ASSERT_TRUE(same(want[i], got256[i], base + i)) << "next_batch(256)";
-    }
+  TraceGenerator gen(profile, seed);
+  for (std::size_t i = 0; i < records; ++i) {
+    Instr want, got;
+    ref.next(want);
+    gen.next(got);
+    ASSERT_TRUE(same(want, got, i)) << "next()";
   }
 }
 
@@ -94,7 +63,6 @@ TEST_P(BuiltinStream, MatchesOracleThroughNextAndEveryBatchSize) {
 }
 
 TEST_P(BuiltinStream, PhasedMatchesAlternatingOracles) {
-  // Phase length 9973 is prime, so phase switches land mid-batch.
   const auto& all = builtin_profiles();
   const WorkloadProfile* a = find_profile(GetParam());
   ASSERT_NE(a, nullptr);
@@ -103,19 +71,12 @@ TEST_P(BuiltinStream, PhasedMatchesAlternatingOracles) {
   for (const std::uint64_t seed : kSeeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RefTraceGenerator ref_a(*a, seed), ref_b(b, seed + 0x9e37);
-    PhasedTraceGenerator scalar(*a, b, kPhase, seed);
-    PhasedTraceGenerator batched(*a, b, kPhase, seed);
-    std::vector<Instr> got;
-    for (std::size_t base = 0; base < kRecords; base += kChunk) {
-      fill_batched(batched, 256, got, kChunk);
-      for (std::size_t i = 0; i < kChunk; ++i) {
-        const std::size_t n = base + i;
-        Instr want, s;
-        ((n / kPhase) % 2 == 0 ? ref_a : ref_b).next(want);
-        scalar.next(s);
-        ASSERT_TRUE(same(want, s, n)) << "phased next()";
-        ASSERT_TRUE(same(want, got[i], n)) << "phased next_batch(256)";
-      }
+    PhasedTraceGenerator gen(*a, b, kPhase, seed);
+    for (std::size_t n = 0; n < kRecords; ++n) {
+      Instr want, got;
+      ((n / kPhase) % 2 == 0 ? ref_a : ref_b).next(want);
+      gen.next(got);
+      ASSERT_TRUE(same(want, got, n)) << "phased next()";
     }
   }
 }

@@ -167,6 +167,13 @@ TEST(Multicore, RejectsBadInputs) {
   tiny.core_addr_stride = 1 << 20;  // smaller than mcf's working set
   EXPECT_THROW(MulticoreSim(tiny).run(profile("mcf-like"), "mapg"),
                std::invalid_argument);
+
+  MulticoreConfig no_cores = fast_config(2);
+  no_cores.num_cores = 0;
+  EXPECT_THROW(MulticoreSim{no_cores}, std::invalid_argument);
+  MulticoreConfig bad_l1 = fast_config(2);
+  bad_l1.mem.l1d.assoc = 0;
+  EXPECT_THROW(MulticoreSim{bad_l1}, std::invalid_argument);
 }
 
 std::vector<Instr> take(TraceSource& src, std::size_t n) {

@@ -321,6 +321,33 @@ TEST(Convert, CacheFilterRewritesHitsPreservesCount) {
   EXPECT_EQ(out[2].dep_dist, 0);
 }
 
+TEST(Convert, CacheFilterConsultsInStreamOrderAndEvictsLru) {
+  // One set, two ways: A B A C B A.  A hits once; C evicts B (A was used
+  // more recently); B's refill evicts A, so the final A misses again.  The
+  // ALU in between carries no address and must not touch the filter.
+  const Addr a = 0x1000, b = 0x2000, c = 0x3000;
+  const std::vector<Instr> instrs = {
+      {OpClass::kLoad, a, 3}, {OpClass::kStore, b, 0},
+      {OpClass::kLoad, a, 2}, {OpClass::kAlu, kNoAddr, 0},
+      {OpClass::kLoad, c, 1}, {OpClass::kLoad, b, 0},
+      {OpClass::kStore, a, 0}};
+  VectorTraceSource src(instrs);
+  CacheFilter filter(128, 64, 2);
+  FilteredTraceSource filtered(src, filter);
+  std::vector<Instr> out;
+  Instr instr;
+  while (filtered.next(instr)) out.push_back(instr);
+  ASSERT_EQ(out.size(), instrs.size());
+  EXPECT_EQ(filter.hits(), 1u);
+  EXPECT_EQ(filter.misses(), 5u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const Instr want = i == 2 ? Instr{OpClass::kAlu, kNoAddr, 0} : instrs[i];
+    EXPECT_EQ(out[i].op, want.op) << i;
+    EXPECT_EQ(out[i].addr, want.addr) << i;
+    EXPECT_EQ(out[i].dep_dist, want.dep_dist) << i;
+  }
+}
+
 // --- plans -----------------------------------------------------------------
 
 struct PlannedTrace {

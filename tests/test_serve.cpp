@@ -474,6 +474,26 @@ TEST_F(ServeServerTest, BadRequestsGetErrorsAndGarbageKillsOnlyThatConn) {
   EXPECT_TRUE(client->ping(&error)) << error;
 }
 
+TEST_F(ServeServerTest, InvalidPlatformCellGetsAnErrorAndServerStaysUp) {
+  start_server();
+  auto client = connect();
+  std::string error;
+  CellRequest bad = tiny_cell();
+  bad.config["l1.assoc"] = "0";
+  const std::optional<Json> failed = client->cell(bad, &error);
+  ASSERT_TRUE(failed) << error;
+  EXPECT_FALSE(failed->get("ok").as_bool());
+  EXPECT_NE(failed->get("error").as_string().find("L1D cache geometry"),
+            std::string::npos)
+      << failed->dump();
+
+  const std::optional<Json> doc = client->cell(tiny_cell(), &error);
+  ASSERT_TRUE(doc) << error;
+  EXPECT_TRUE(doc->get("ok").as_bool());
+  EXPECT_EQ(doc->get("result").dump(),
+            direct_dump(tiny_job("mcf-like", "mapg", 1)));
+}
+
 TEST_F(ServeServerTest, ShutdownRequestUnblocksWait) {
   start_server();
   std::atomic<bool> returned{false};

@@ -3,10 +3,15 @@
 // baseline-relative scoring, and the public custom-trace/custom-policy API.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/sim.h"
 #include "exec/runner.h"
+#include "multicore/config_apply.h"
+#include "pg/factory.h"
 #include "trace/trace_io.h"
 
 namespace mapg {
@@ -177,6 +182,61 @@ TEST(Sim, CustomTraceAndPolicyThroughPublicApi) {
   EXPECT_EQ(r.workload, "custom");
   EXPECT_EQ(r.core.instrs, 50'000u);
   EXPECT_EQ(r.gating.gated_events, 0u);
+}
+
+TEST(Sim, InvalidPlatformThrowsNamingThePart) {
+  // Platform values the model cannot run are rejected in every build type,
+  // through the same key=value dialect mapg_sim and the server accept.
+  const struct {
+    const char* key;
+    const char* value;
+    const char* part;
+  } cases[] = {
+      {"l1.assoc", "0", "L1D cache geometry"},
+      {"l1.size_kib", "3", "L1D cache geometry"},  // 6 sets
+      {"l2.size_kib", "0", "L2 cache geometry"},
+      {"dram.channels", "0", "DRAM configuration"},
+      {"core.mlp_window", "0", "core configuration"},
+      {"core.scoreboard", "0", "core configuration"},
+  };
+  for (const auto& c : cases) {
+    KvConfig kv;
+    kv.set("instructions", "20000");
+    kv.set("warmup", "1000");
+    kv.set(c.key, c.value);
+    const Simulator sim(apply_sim_config(kv));
+    try {
+      sim.run(*find_profile("mcf-like"), "mapg");
+      ADD_FAILURE() << c.key << "=" << c.value << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.part), std::string::npos)
+          << c.key << "=" << c.value << ": " << e.what();
+    }
+  }
+}
+
+TEST(Sim, DepDistBeyondTheScoreboardThrows) {
+  // mcf-like draws dep_dist up to 64, past a 16-entry scoreboard.
+  SimConfig cfg = fast_config();
+  cfg.core.scoreboard_window = 16;
+  EXPECT_THROW(Simulator(cfg).run(*find_profile("mcf-like"), "mapg"),
+               std::out_of_range);
+
+  // A converted trace can carry any 16-bit distance.
+  cfg = fast_config();
+  cfg.warmup_instructions = 0;
+  const Simulator sim(cfg);
+  VectorTraceSource trace(std::vector<Instr>{
+      {OpClass::kAlu, kNoAddr, 0}, {OpClass::kLoad, 0x1000, 60000}});
+  const std::unique_ptr<PgPolicy> policy =
+      make_policy("mapg", sim.policy_context());
+  try {
+    sim.run(trace, "converted", *policy);
+    ADD_FAILURE() << "dep_dist 60000 did not throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("dep_dist 60000"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Runner, BaselineIsCachedPerWorkload) {

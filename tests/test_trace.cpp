@@ -2,6 +2,7 @@
 // convergence, dependency distances, and trace file round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <sstream>
@@ -256,6 +257,41 @@ TEST(LimitedSource, CapsAndResets) {
   n = 0;
   while (lim.next(instr)) ++n;
   EXPECT_EQ(n, 100);
+}
+
+TEST(LimitedSource, EndsAtTheShorterOfCapAndInnerStream) {
+  const std::vector<Instr> v(50);
+  for (const std::uint64_t limit : {0, 10, 50, 80}) {
+    VectorTraceSource inner(v);
+    LimitedTraceSource lim(inner, limit);
+    Instr instr;
+    std::uint64_t n = 0;
+    while (lim.next(instr)) ++n;
+    EXPECT_EQ(n, std::min<std::uint64_t>(limit, v.size())) << limit;
+    EXPECT_FALSE(lim.next(instr));  // end of trace is sticky
+  }
+}
+
+TEST(OffsetSource, RebasesOnlyRealAddresses) {
+  const Addr offset = 0x4000'0000ULL;
+  TraceGenerator gen(*find_profile("gamess-like"), 5);
+  TraceGenerator ref(*find_profile("gamess-like"), 5);
+  OffsetTraceSource src(gen, offset);
+  int fillers = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    Instr want, got;
+    ref.next(want);
+    ASSERT_TRUE(src.next(got));
+    EXPECT_EQ(got.op, want.op) << i;
+    EXPECT_EQ(got.dep_dist, want.dep_dist) << i;
+    if (want.addr == kNoAddr) {
+      ++fillers;
+      EXPECT_EQ(got.addr, kNoAddr) << i;
+    } else {
+      EXPECT_EQ(got.addr, want.addr + offset) << i;
+    }
+  }
+  EXPECT_GT(fillers, 0);  // the stream actually exercised the skip
 }
 
 TEST(TraceIo, RoundTripThroughStream) {

@@ -417,16 +417,22 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  int rc;
-  if (kv.contains("trace")) {
-    rc = run_trace(kv, specs, csv);
-  } else {
-    const auto workloads =
-        resolve_workloads(kv.get_or("workload", "mcf-like"));
-    if (workloads.empty()) return 1;
-    rc = kv.get_uint("cores", 0) > 1
-             ? run_multicore(kv, workloads, specs, csv)
-             : run_single(kv, workloads, specs, csv, seeds);
+  int rc = 1;
+  try {
+    if (kv.contains("trace")) {
+      rc = run_trace(kv, specs, csv);
+    } else {
+      const auto workloads =
+          resolve_workloads(kv.get_or("workload", "mcf-like"));
+      if (workloads.empty()) return 1;
+      rc = kv.get_uint("cores", 0) > 1
+               ? run_multicore(kv, workloads, specs, csv)
+               : run_single(kv, workloads, specs, csv, seeds);
+    }
+  } catch (const std::exception& e) {
+    // Invalid platform values reach here from the multicore constructor and
+    // the multi-seed path; the per-policy paths report their own.
+    std::cerr << "error: " << e.what() << "\n";
   }
 
   // Observability sinks run even after a failed run — partial metrics are
