@@ -82,12 +82,6 @@ SamplePlan plan_from_signatures(std::vector<RegionSignature> regions,
 
 }  // namespace
 
-SamplePlan build_sample_plan(TraceSource& trace,
-                             const SampleConfig& config) {
-  return plan_from_signatures(
-      compute_region_signatures(trace, config.region_instructions), config);
-}
-
 SamplePlan build_sample_plan(FileTraceSource& trace,
                              const SampleConfig& config) {
   constexpr std::uint64_t kLineBytes = 64;  // compute_region_signatures default

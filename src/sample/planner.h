@@ -35,8 +35,8 @@ struct SampleConfig {
   /// Seed for k-means++ (part of the plan identity).
   std::uint64_t seed = 42;
   /// Optional signature-cache file (signature.h, MAPGSIG1).  Empty: always
-  /// scan.  Non-empty (file-trace overload only): load when the header
-  /// matches the trace digest + slicing exactly, else scan and refresh.
+  /// scan.  Non-empty: load when the header matches the trace digest +
+  /// slicing exactly, else scan and refresh.
   /// The plan is byte-for-byte independent of whether the cache hit.
   std::string signature_cache;
 };
@@ -65,13 +65,8 @@ struct SamplePlan {
   std::uint64_t sampled_instructions() const;
 };
 
-/// Build a plan from the trace's current position to its end.  Consumes the
-/// trace once (signature pass); callers seek/reset before simulating.
-/// `config.signature_cache` is ignored on this overload (no content digest
-/// is available to key it).
-SamplePlan build_sample_plan(TraceSource& trace, const SampleConfig& config);
-
-/// File-trace overload: plans the WHOLE trace (seeks to 0 first) and honours
+/// Plan the WHOLE trace (seeks to 0 first, then consumes it once in the
+/// signature scan; callers seek/reset before simulating), honouring
 /// `config.signature_cache` — signatures depend only on trace content and
 /// slicing, so a matching cache skips the full-trace scan entirely, which is
 /// where steady-state sampled runs get their speedup (bench/micro_sampling).

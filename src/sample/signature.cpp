@@ -85,46 +85,6 @@ constexpr std::size_t kDepBase = 7;     // 8 dims
 constexpr std::size_t kStrideBase = 15; // 9 dims
 constexpr std::size_t kReuseBase = 24;  // 8 dims
 
-std::size_t log2_bucket(std::uint64_t value, std::size_t buckets) {
-  // value >= 1 -> floor(log2(value)) clamped to the last bucket.
-  std::size_t b = 0;
-  while (value > 1 && b + 1 < buckets) {
-    value >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-/// dep_dist buckets: 0 (no consumer in window), then log2 classes of the
-/// distance (1, 2-3, 4-7, 8-15, 16-31, 32-63, 64+).
-std::size_t dep_bucket(std::uint16_t dep) {
-  if (dep == 0) return 0;
-  return 1 + log2_bucket(dep, 7);
-}
-
-/// Stride buckets over successive mem-op line deltas: 0, then four
-/// magnitude classes per direction (|d| in 1-2, 3-16, 17-256, 257+).
-std::size_t stride_bucket(std::int64_t delta) {
-  if (delta == 0) return 0;
-  const std::uint64_t mag =
-      delta > 0 ? static_cast<std::uint64_t>(delta)
-                : static_cast<std::uint64_t>(-delta);
-  std::size_t cls;
-  if (mag <= 2)
-    cls = 0;
-  else if (mag <= 16)
-    cls = 1;
-  else if (mag <= 256)
-    cls = 2;
-  else
-    cls = 3;
-  return delta > 0 ? 1 + cls : 5 + cls;
-}
-
-/// Reuse buckets over mem-ops-since-last-touch (>= 1): log2 classes
-/// (1, 2-3, 4-7, 8-15, 16-31, 32-63, 64-127, 128+).
-std::size_t reuse_bucket(std::uint64_t dist) { return log2_bucket(dist, 8); }
-
 struct RegionAccum {
   std::array<std::uint64_t, kNumOpClasses> ops{};
   std::array<std::uint64_t, 8> dep{};
@@ -146,17 +106,17 @@ struct RegionAccum {
     prev_line = 0;
   }
 
-  void add(const Instr& instr, std::uint64_t line_shift) {
-    ops[static_cast<std::size_t>(instr.op)]++;
-    if (instr.op == OpClass::kLoad) {
+  void add(OpClass op, std::uint16_t dep_dist, Addr addr,
+           std::uint64_t line_shift) {
+    ops[static_cast<std::size_t>(op)]++;
+    if (op == OpClass::kLoad) {
       ++loads;
-      dep[dep_bucket(instr.dep_dist)]++;
+      dep[dep_bucket(dep_dist)]++;
     }
-    const bool is_mem = (instr.op == OpClass::kLoad ||
-                         instr.op == OpClass::kStore) &&
-                        instr.addr != kNoAddr;
+    const bool is_mem =
+        (op == OpClass::kLoad || op == OpClass::kStore) && addr != kNoAddr;
     if (!is_mem) return;
-    const std::uint64_t line = instr.addr >> line_shift;
+    const std::uint64_t line = addr >> line_shift;
     if (have_prev_line) {
       ++deltas;
       stride[stride_bucket(static_cast<std::int64_t>(line) -
@@ -200,7 +160,7 @@ struct RegionAccum {
 }  // namespace
 
 std::vector<RegionSignature> compute_region_signatures(
-    TraceSource& trace, std::uint64_t region_instructions,
+    FileTraceSource& trace, std::uint64_t region_instructions,
     std::uint64_t line_bytes) {
   if (region_instructions == 0) region_instructions = 1;
   std::uint64_t line_shift = 0;
@@ -208,23 +168,30 @@ std::vector<RegionSignature> compute_region_signatures(
 
   std::vector<RegionSignature> out;
   RegionAccum acc;
-  std::uint64_t region_start = 0, in_region = 0, consumed = 0;
-  Instr instr;
-  while (trace.next(instr)) {
-    acc.add(instr, line_shift);
-    ++in_region;
-    ++consumed;
-    if (in_region == region_instructions) {
-      out.push_back(acc.finish(region_start, in_region));
-      acc.reset();
-      region_start = consumed;
-      in_region = 0;
+  std::uint64_t region_start = 0, in_region = 0;
+  InstrBlock block;
+  while (trace.next_batch(block) > 0) {
+    for (std::size_t i = 0; i < block.count;) {
+      // Run to the end of the block or of the region, whichever is first.
+      const std::size_t end =
+          i + static_cast<std::size_t>(std::min<std::uint64_t>(
+                  block.count - i, region_instructions - in_region));
+      in_region += end - i;
+      for (; i < end; ++i)
+        acc.add(block.op[i], block.dep_dist[i], block.addr[i], line_shift);
+      if (in_region == region_instructions) {
+        out.push_back(acc.finish(region_start, in_region));
+        acc.reset();
+        region_start += in_region;
+        in_region = 0;
+      }
     }
   }
   if (in_region > 0) {
     // A trailing sliver (< 1% of nominal) would make a meaningless
-    // representative; fold it into the signature of nothing rather than
-    // emit it only when there is a predecessor to absorb its weight.
+    // representative, so when a predecessor exists its instructions join
+    // that region's length and keep its signature; otherwise the tail is a
+    // region of its own.
     if (!out.empty() && in_region < region_instructions / 100) {
       out.back().length += in_region;
     } else {
@@ -244,6 +211,8 @@ double signature_l1(const std::array<double, kSignatureDims>& a,
 namespace {
 
 constexpr char kSigMagic[8] = {'M', 'A', 'P', 'G', 'S', 'I', 'G', '1'};
+/// Bytes per region: four u64 counts, f64 first_touch_fraction, f64 v[].
+constexpr std::size_t kRegionBytes = 8 * 5 + 8 * kSignatureDims;
 
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
@@ -282,7 +251,7 @@ bool save_region_signatures(const std::string& path, std::uint64_t digest,
                             const std::vector<RegionSignature>& sigs,
                             std::string* error) {
   std::string buf;
-  buf.reserve(40 + sigs.size() * (8 * 4 + 8 + kSignatureDims * 8));
+  buf.reserve(40 + sigs.size() * kRegionBytes);
   buf.append(kSigMagic, sizeof(kSigMagic));
   put_u64(buf, digest);
   put_u64(buf, region_instructions);
@@ -326,6 +295,9 @@ std::optional<std::vector<RegionSignature>> load_region_signatures(
   if (got_digest != digest || got_region != region_instructions ||
       got_line != line_bytes)
     return std::nullopt;
+  // Bound the count by the bytes present before reserving: a lying count
+  // is a truncated file (a rescan), not a huge allocation.
+  if (count > (buf.size() - pos) / kRegionBytes) return std::nullopt;
   std::vector<RegionSignature> sigs;
   sigs.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {

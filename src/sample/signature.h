@@ -27,13 +27,15 @@
 // fraction) ride along for the projection's dispersion model (runner.h).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "trace/trace_io.h"
+#include "trace/trace_file.h"
 
 namespace mapg {
 
@@ -63,13 +65,49 @@ struct RegionSignature {
 
 /// Slice `trace` (from its current position to its end) into consecutive
 /// regions of `region_instructions` and compute each region's signature.
-/// The final region may be short; a trailing region shorter than 1% of the
-/// nominal size is merged into its predecessor so degenerate slivers never
-/// become cluster representatives.  `line_bytes` sets the address
-/// granularity for stride/reuse features.
+/// Region starts count from that position.  The final region may be short;
+/// a trailing region shorter than 1% of the nominal size is merged into its
+/// predecessor so degenerate slivers never become cluster representatives.
+/// `line_bytes` sets the address granularity for stride/reuse features.
+/// Records arrive through the reader's block decoder (next_batch), so its
+/// errors propagate unchanged.
 std::vector<RegionSignature> compute_region_signatures(
-    TraceSource& trace, std::uint64_t region_instructions,
+    FileTraceSource& trace, std::uint64_t region_instructions,
     std::uint64_t line_bytes = 64);
+
+// Histogram bucket of each feature (the dims table above).  Exact integer
+// arithmetic with no data-dependent loop: these run once per record in the
+// signature scan.
+
+/// floor(log2(value)) clamped to the last of `buckets` (>= 1); 0 maps to 0.
+inline std::size_t log2_bucket(std::uint64_t value, std::size_t buckets) {
+  return std::min<std::size_t>(
+      static_cast<std::size_t>(std::bit_width(value | 1)) - 1, buckets - 1);
+}
+
+/// dep_dist buckets: 0 (no consumer in window), then log2 classes of the
+/// distance (1, 2-3, 4-7, 8-15, 16-31, 32-63, 64+).
+inline std::size_t dep_bucket(std::uint16_t dep) {
+  return std::min<std::size_t>(static_cast<std::size_t>(std::bit_width(dep)),
+                               7);
+}
+
+/// Stride buckets over successive mem-op line deltas: 0, then four
+/// magnitude classes per direction (|d| in 1-2, 3-16, 17-256, 257+).
+inline std::size_t stride_bucket(std::int64_t delta) {
+  if (delta == 0) return 0;
+  const std::uint64_t mag = delta > 0 ? static_cast<std::uint64_t>(delta)
+                                      : 0 - static_cast<std::uint64_t>(delta);
+  const std::size_t cls = std::size_t{mag > 2} + std::size_t{mag > 16} +
+                          std::size_t{mag > 256};
+  return (delta > 0 ? 1 : 5) + cls;
+}
+
+/// Reuse buckets over mem-ops-since-last-touch (>= 1): log2 classes
+/// (1, 2-3, 4-7, 8-15, 16-31, 32-63, 64-127, 128+).
+inline std::size_t reuse_bucket(std::uint64_t dist) {
+  return log2_bucket(dist, 8);
+}
 
 /// L1 distance between two signature vectors (the clustering metric).
 double signature_l1(const std::array<double, kSignatureDims>& a,
@@ -88,7 +126,7 @@ double signature_l1(const std::array<double, kSignatureDims>& a,
 //   16      8     u64 region_instructions
 //   24      8     u64 line_bytes
 //   32      8     u64 region count N
-//   40      96*N  per region: u64 start, u64 length, u64 mem_ops,
+//   40      296*N per region: u64 start, u64 length, u64 mem_ops,
 //                 u64 distinct_lines, f64 first_touch_fraction,
 //                 f64 v[32]  (IEEE-754 bit patterns — reload is exact)
 //

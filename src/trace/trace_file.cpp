@@ -18,6 +18,9 @@ constexpr std::size_t kIndexEntrySize = 3 * 8;
 constexpr std::size_t kV1HeaderSize = 8 + 8;
 /// Same defensive cap as the v1 reader: refuse absurd headers, not OOM.
 constexpr std::uint64_t kMaxRecords = 1ULL << 40;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+/// Chunks digest-checked together by one FileTraceSource::verify_group pass.
+constexpr std::size_t kVerifyLanes = 4;
 
 void put_u16(char* p, std::uint16_t v) {
   p[0] = static_cast<char>(v & 0xff);
@@ -79,6 +82,24 @@ void decode_records(const char* rec, std::uint64_t first_index, std::size_t n,
   }
 }
 
+/// FNV-1a64 of `len` bytes at each data[j], as N independent chains
+/// advanced in lockstep; h[j] seeds and receives chain j.  One chain is a
+/// serial multiply dependency, so N chains overlap in the multiplier and N
+/// ranges hash in little more than the time of one.  Each chain's result is
+/// exactly trace_digest_update(data[j], len, h[j]).
+template <std::size_t N>
+void digest_lanes(const std::array<const char*, N>& data, std::size_t len,
+                  std::array<std::uint64_t, N>& h) {
+  // Chains live in a local so the char loads cannot alias them.
+  std::array<std::uint64_t, N> chain = h;
+  for (std::size_t i = 0; i < len; ++i)
+    for (std::size_t j = 0; j < N; ++j) {
+      chain[j] ^= static_cast<unsigned char>(data[j][i]);
+      chain[j] *= kFnvPrime;
+    }
+  h = chain;
+}
+
 }  // namespace
 
 std::uint64_t trace_digest_update(const char* data, std::size_t len,
@@ -86,7 +107,7 @@ std::uint64_t trace_digest_update(const char* data, std::size_t len,
   std::uint64_t h = seed;
   for (std::size_t i = 0; i < len; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -143,10 +164,11 @@ std::uint64_t write_trace_v2(std::ostream& os, TraceSource& source,
     m.offset = static_cast<std::uint64_t>(os.tellp() - base) +
                static_cast<std::uint64_t>(base);
     m.records = got;
-    m.digest =
-        trace_digest_update(payload.data(), payload.size(), kTraceDigestSeed);
-    stream_digest =
-        trace_digest_update(payload.data(), payload.size(), stream_digest);
+    // Chunk and stream digests in one pass: two chains over the same bytes.
+    std::array<std::uint64_t, 2> h = {kTraceDigestSeed, stream_digest};
+    digest_lanes<2>({payload.data(), payload.data()}, payload.size(), h);
+    m.digest = h[0];
+    stream_digest = h[1];
     metas.push_back(m);
     os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
     written += got;
@@ -235,7 +257,7 @@ FileTraceSource::FileTraceSource(const std::string& path)
     if (info_.records > 0) chunks_.push_back(meta);
     // The open scan just digested the whole payload, so the single v1
     // chunk is already verified.
-    verified_.assign(chunks_.size(), 1);
+    verdict_.assign(chunks_.size(), Verdict::kIntact);
     return;
   }
 
@@ -252,6 +274,10 @@ FileTraceSource::FileTraceSource(const std::string& path)
   if (info_.records > kMaxRecords || info_.chunk_size == 0 ||
       info_.n_chunks > (info_.records / info_.chunk_size) + 1)
     throw std::runtime_error(path + ": malformed MAPGTRC2 header");
+  // Bound the index by the file before allocating it: a lying chunk count
+  // must be a malformed file, not a multi-gigabyte allocation.
+  if (kV2HeaderSize + info_.n_chunks * kIndexEntrySize > file_size)
+    throw std::runtime_error(path + ": truncated chunk index");
 
   chunks_.resize(info_.n_chunks);
   std::vector<char> index(info_.n_chunks * kIndexEntrySize);
@@ -263,7 +289,12 @@ FileTraceSource::FileTraceSource(const std::string& path)
     chunks_[i].offset = get_u64(e);
     chunks_[i].records = get_u64(e + 8);
     chunks_[i].digest = get_u64(e + 16);
-    if (chunks_[i].records == 0 || chunks_[i].records > info_.chunk_size)
+    // Every chunk but the last is full: the reader maps record r to chunk
+    // r / chunk_size, so a short middle chunk would misplace every later
+    // record.
+    const bool last = i + 1 == info_.n_chunks;
+    if (chunks_[i].records == 0 || chunks_[i].records > info_.chunk_size ||
+        (!last && chunks_[i].records != info_.chunk_size))
       throw std::runtime_error(path + ": malformed chunk index entry " +
                                std::to_string(i));
     if (chunks_[i].offset + chunks_[i].records * kRecordSize > file_size)
@@ -274,29 +305,96 @@ FileTraceSource::FileTraceSource(const std::string& path)
   if (total != info_.records)
     throw std::runtime_error(
         path + ": chunk index records disagree with header count");
-  verified_.assign(chunks_.size(), 0);
+  verdict_.assign(chunks_.size(), Verdict::kUnchecked);
+}
+
+void FileTraceSource::verify_group(std::uint64_t first) {
+  // The group: `first` plus the unchecked chunks among the next three.
+  // `first` is the largest of them (only a file's last chunk is short), so
+  // buf_ sized for it splits into one slice per lane.
+  struct Lane {
+    std::uint64_t chunk, offset, left, digest;
+  };
+  std::array<Lane, kVerifyLanes> group{};
+  std::size_t n = 0;
+  for (std::uint64_t c = first;
+       c < chunks_.size() && c < first + kVerifyLanes; ++c)
+    if (verdict_[c] == Verdict::kUnchecked)
+      group[n++] = {c, chunks_[c].offset, chunks_[c].records * kRecordSize,
+                    kTraceDigestSeed};
+  buf_chunk_ = ~0ULL;  // buf_ is scratch from here on
+  buf_.resize(static_cast<std::size_t>(chunks_[first].records * kRecordSize));
+  const std::size_t slice = buf_.size() / kVerifyLanes;
+
+  while (true) {
+    // Read the next slice of every lane with bytes left; a failed read
+    // settles that chunk's verdict and retires its lane.
+    std::array<Lane*, kVerifyLanes> live{};
+    std::array<const char*, kVerifyLanes> data{};
+    std::array<std::size_t, kVerifyLanes> take{};
+    std::size_t m = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      Lane& l = group[j];
+      if (l.left == 0) continue;
+      char* dst = buf_.data() + m * slice;
+      take[m] =
+          static_cast<std::size_t>(std::min<std::uint64_t>(l.left, slice));
+      is_.clear();
+      is_.seekg(static_cast<std::streamoff>(l.offset));
+      if (!is_.read(dst, static_cast<std::streamsize>(take[m]))) {
+        verdict_[l.chunk] = Verdict::kShort;
+        l.left = 0;
+        continue;
+      }
+      l.offset += take[m];
+      l.left -= take[m];
+      data[m] = dst;
+      live[m++] = &l;
+    }
+    if (m == 0) break;
+    // The common prefix runs as interleaved chains (spare chains rehash
+    // lane 0 into digests nobody reads); each lane finishes its own tail.
+    const std::size_t common =
+        *std::min_element(take.begin(), take.begin() + m);
+    std::array<std::uint64_t, kVerifyLanes> h{};
+    for (std::size_t j = 0; j < kVerifyLanes; ++j) {
+      if (j >= m) data[j] = data[0];
+      h[j] = j < m ? live[j]->digest : kTraceDigestSeed;
+    }
+    digest_lanes(data, common, h);
+    for (std::size_t j = 0; j < m; ++j)
+      live[j]->digest =
+          trace_digest_update(data[j] + common, take[j] - common, h[j]);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    Verdict& v = verdict_[group[j].chunk];
+    if (v == Verdict::kShort) continue;
+    v = group[j].digest == chunks_[group[j].chunk].digest ? Verdict::kIntact
+                                                          : Verdict::kCorrupt;
+  }
 }
 
 void FileTraceSource::load_chunk(std::uint64_t chunk_index) {
   const ChunkMeta& m = chunks_.at(chunk_index);
-  buf_.resize(static_cast<std::size_t>(m.records * kRecordSize));
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(m.offset));
-  is_.read(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  if (!is_)
+  // Digest-check each chunk once, four at a time: revisits (sampled
+  // simulation seeking back into warmup windows) reload the bytes but skip
+  // the FNV scan.  A bad verdict stored for a later chunk of the group is
+  // raised only here, when that chunk is entered.
+  if (verdict_[chunk_index] == Verdict::kUnchecked) verify_group(chunk_index);
+  buf_chunk_ = ~0ULL;  // until buf_ holds this whole chunk
+  const Verdict v = verdict_[chunk_index];
+  if (v == Verdict::kCorrupt)
+    throw std::runtime_error(path_ + ": chunk " + std::to_string(chunk_index) +
+                             " payload digest mismatch (corrupt trace)");
+  if (v == Verdict::kIntact) {
+    buf_.resize(static_cast<std::size_t>(m.records * kRecordSize));
+    is_.clear();
+    is_.seekg(static_cast<std::streamoff>(m.offset));
+    is_.read(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  }
+  if (v == Verdict::kShort || !is_)
     throw std::runtime_error(path_ + ": short read in chunk " +
                              std::to_string(chunk_index));
-  // Digest-check each chunk once: revisits (sampled simulation seeking back
-  // into warmup windows) reload the bytes but skip the FNV scan.
-  if (!verified_[chunk_index]) {
-    const std::uint64_t digest =
-        trace_digest_update(buf_.data(), buf_.size(), kTraceDigestSeed);
-    if (digest != m.digest)
-      throw std::runtime_error(path_ + ": chunk " +
-                               std::to_string(chunk_index) +
-                               " payload digest mismatch (corrupt trace)");
-    verified_[chunk_index] = 1;
-  }
   buf_chunk_ = chunk_index;
   // Chunks are full except possibly the last, so the first absolute record
   // of chunk i is i * chunk_size.

@@ -72,10 +72,11 @@ bool write_trace_file_v2(const std::string& path, TraceSource& source,
                          std::uint64_t chunk_size = kTraceChunkRecords);
 
 /// Streaming reader for both on-disk formats.  Never materializes the
-/// trace: v2 files are read one chunk at a time (each chunk's digest is
-/// verified as it is loaded); v1 files are read through a fixed-size block
-/// buffer (their stream digest is computed by a single scan at open, since
-/// the v1 header carries none).
+/// trace: v2 files are read one chunk at a time (a chunk's digest is
+/// verified before any of its records is served, four chunks per hashing
+/// pass); v1 files are read through a fixed-size block buffer (their stream
+/// digest is computed by a single scan at open, since the v1 header carries
+/// none).
 ///
 /// Error contract (documented field-for-field in docs/TRACE.md):
 ///  - the constructor throws std::runtime_error on open failure, bad magic,
@@ -116,7 +117,15 @@ class FileTraceSource final : public SeekableTraceSource {
     std::uint64_t digest = 0;
   };
 
+  /// Digest state of one chunk.  A bad verdict is only recorded when it is
+  /// found; load_chunk raises it when that chunk is entered.
+  enum class Verdict : char { kUnchecked, kIntact, kCorrupt, kShort };
+
   void load_chunk(std::uint64_t chunk_index);
+  /// Digest-check `first` and the unchecked chunks among the next three in
+  /// one pass of interleaved FNV-1a chains, streaming them in slices through
+  /// buf_ (which it leaves holding no chunk), and record each verdict.
+  void verify_group(std::uint64_t first);
 
   std::string path_;
   std::ifstream is_;
@@ -127,13 +136,16 @@ class FileTraceSource final : public SeekableTraceSource {
   std::uint64_t buf_chunk_ = ~0ULL;  ///< chunk index held in buf_
   std::uint64_t buf_first_ = 0;      ///< absolute record index of buf_[0]
   std::uint64_t pos_ = 0;            ///< next record to serve
-  /// Per-chunk "digest already verified" memo: a chunk is verified the
-  /// first time it is loaded and trusted on every later reload, so
+  /// Per-chunk digest verdict.  The first load of an unchecked chunk
+  /// verifies it together with up to three following unchecked chunks
+  /// (verify_group); every later load trusts the stored verdict, so
   /// seek-back patterns (sampled simulation revisiting warmup windows,
-  /// sample/runner.cpp) pay the FNV scan once per chunk, not per visit.
-  /// The file is assumed immutable while open — the same assumption the
-  /// resident chunk buffer already makes.
-  std::vector<char> verified_;
+  /// sample/runner.cpp) pay the FNV scan once per chunk, not per visit.  A
+  /// corrupt or short chunk found early throws only when it is loaded, at
+  /// the same record as a chunk-by-chunk check would.  The file is assumed
+  /// immutable while open — the same assumption the resident chunk buffer
+  /// already makes.
+  std::vector<Verdict> verdict_;
 };
 
 /// Compute the stream digest of an on-disk trace (either version) without

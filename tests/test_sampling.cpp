@@ -5,17 +5,22 @@
 // content digest), the reader throws on damage instead of reporting a
 // short trace, the text converters produce exactly the documented
 // records, plans are deterministic functions of (content, config) — across
-// runs, thread counts, and the MAPGSIG1 signature cache — and the
-// degenerate clusters >= regions case is bit-identical to full simulation.
+// runs, thread counts, and the MAPGSIG1 signature cache — the block-fed
+// signature scan equals a per-record reference bit for bit, lying count
+// fields are malformed input rather than allocations, and the degenerate
+// clusters >= regions case is bit-identical to full simulation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <unistd.h>
@@ -79,6 +84,17 @@ bool same_stream(const std::vector<Instr>& a, const std::vector<Instr>& b) {
 }
 
 std::string dump(const SimResult& r) { return result_to_json(r).dump(); }
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    bytes[at + static_cast<std::size_t>(i)] = static_cast<char>(v >> (8 * i));
+}
 
 // --- formats ---------------------------------------------------------------
 
@@ -188,6 +204,42 @@ TEST(TraceFile, TruncationAndCorruptionThrowRatherThanEndCleanly) {
         },
         std::runtime_error);
     EXPECT_EQ(served, 2u * 4096u);  // both intact chunks served first
+  }
+}
+
+TEST(TraceFile, LyingCountFieldsAreMalformedNotAllocations) {
+  // A 64-byte file whose header claims 2^40 one-record chunks: the index
+  // alone would need 24 TiB, so the header is malformed, not an allocation.
+  {
+    TempFile t(tmp_path("huge_index"));
+    std::string bytes(64, '\0');
+    std::memcpy(bytes.data(), "MAPGTRC2", 8);
+    put_u64(bytes, 8, 1ULL << 40);   // records
+    put_u64(bytes, 16, 1);           // chunk_size
+    put_u64(bytes, 24, 1ULL << 40);  // n_chunks
+    std::ofstream(t.path, std::ios::binary) << bytes;
+    EXPECT_THROW(FileTraceSource src(t.path), std::runtime_error);
+  }
+  // A short middle chunk: 15 records indexed as chunks of 5 and 10 under
+  // chunk_size 10.  Every digest matches, but record r no longer lives in
+  // chunk r / chunk_size, so the index is malformed.
+  {
+    TempFile t(tmp_path("short_middle"));
+    const std::vector<Instr> ref = generate("gcc-like", 15);
+    {
+      VectorTraceSource s(ref);
+      ASSERT_TRUE(write_trace_file_v2(t.path, s, ref.size(), nullptr, 5));
+    }
+    std::string bytes = read_bytes(t.path);
+    const std::size_t payload = 40 + 3 * 24;
+    put_u64(bytes, 16, 10);  // chunk_size
+    put_u64(bytes, 24, 2);   // n_chunks; the third entry becomes dead space
+    put_u64(bytes, 40 + 24 + 8, 10);
+    put_u64(bytes, 40 + 24 + 16,
+            trace_digest_update(bytes.data() + payload + 5 * 11, 10 * 11,
+                                kTraceDigestSeed));
+    std::ofstream(t.path, std::ios::binary) << bytes;
+    EXPECT_THROW(FileTraceSource src(t.path), std::runtime_error);
   }
 }
 
@@ -465,6 +517,197 @@ TEST(SamplePlan, SignatureCacheHitIsByteIdenticalAndStaleCacheRejected) {
   }
   EXPECT_FALSE(load_region_signatures(cache.path, digest,
                                       cfg.region_instructions, 64));
+}
+
+TEST(SamplePlan, LyingSignatureCountIsAMissAndThePlannerRescans) {
+  PlannedTrace t(200'000);
+  SampleConfig cfg = small_sample_config();
+  TempFile cache(tmp_path("sigs"));
+  cfg.signature_cache = cache.path;
+  FileTraceSource src(t.file.path);
+  const SamplePlan scanned = build_sample_plan(src, cfg);
+  const std::uint64_t digest = src.info().stream_digest;
+  const std::string good = read_bytes(cache.path);
+  for (const std::uint64_t lie : {1ULL << 40, 1ULL << 62}) {
+    std::string bytes = good;
+    put_u64(bytes, 32, lie);  // region count
+    std::ofstream(cache.path, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_FALSE(load_region_signatures(cache.path, digest,
+                                        cfg.region_instructions, 64))
+        << lie;
+    FileTraceSource again(t.file.path);
+    EXPECT_TRUE(plans_identical(scanned, build_sample_plan(again, cfg))) << lie;
+    EXPECT_EQ(read_bytes(cache.path), good) << "rescan refreshes the cache";
+  }
+}
+
+// --- signature scan identity ------------------------------------------------
+
+// The bucket helpers as the data-dependent loops the closed forms in
+// signature.h replaced: the oracle for them.
+std::size_t loop_log2_bucket(std::uint64_t value, std::size_t buckets) {
+  std::size_t b = 0;
+  while (value > 1 && b + 1 < buckets) {
+    value >>= 1;
+    ++b;
+  }
+  return b;
+}
+
+std::size_t loop_dep_bucket(std::uint16_t dep) {
+  return dep == 0 ? 0 : 1 + loop_log2_bucket(dep, 7);
+}
+
+std::size_t loop_stride_bucket(std::int64_t delta) {
+  if (delta == 0) return 0;
+  const std::uint64_t mag = delta > 0 ? static_cast<std::uint64_t>(delta)
+                                      : static_cast<std::uint64_t>(-delta);
+  const std::size_t cls = mag <= 2 ? 0 : mag <= 16 ? 1 : mag <= 256 ? 2 : 3;
+  return delta > 0 ? 1 + cls : 5 + cls;
+}
+
+std::size_t loop_reuse_bucket(std::uint64_t dist) {
+  return loop_log2_bucket(dist, 8);
+}
+
+/// Region signatures computed one Instr at a time with a node-based reuse
+/// map and the loop buckets: the reference the block-fed scan must equal
+/// bit for bit (signature.h gives the dims and the sliver rule).
+std::vector<RegionSignature> reference_signatures(
+    const std::vector<Instr>& instrs, std::uint64_t region) {
+  std::vector<RegionSignature> out;
+  for (std::uint64_t start = 0; start < instrs.size();) {
+    const std::uint64_t len =
+        std::min<std::uint64_t>(region, instrs.size() - start);
+    if (!out.empty() && len < region / 100) {
+      out.back().length += len;
+      break;
+    }
+    std::array<std::uint64_t, kSignatureDims> count{};
+    std::uint64_t loads = 0, mem = 0, deltas = 0, first = 0;
+    std::unordered_map<std::uint64_t, std::uint64_t> last;
+    std::optional<std::uint64_t> prev;
+    for (std::uint64_t i = start; i < start + len; ++i) {
+      const Instr& in = instrs[i];
+      count[static_cast<std::size_t>(in.op)]++;
+      if (in.op == OpClass::kLoad) {
+        ++loads;
+        count[7 + loop_dep_bucket(in.dep_dist)]++;
+      }
+      if ((in.op != OpClass::kLoad && in.op != OpClass::kStore) ||
+          in.addr == kNoAddr)
+        continue;
+      const std::uint64_t line = in.addr >> 6;
+      if (prev) {
+        ++deltas;
+        count[15 + loop_stride_bucket(static_cast<std::int64_t>(line) -
+                                      static_cast<std::int64_t>(*prev))]++;
+      }
+      prev = line;
+      const auto [it, fresh] = last.try_emplace(line, mem);
+      if (fresh) {
+        ++first;
+      } else {
+        count[24 + loop_reuse_bucket(mem - it->second)]++;
+        it->second = mem;
+      }
+      ++mem;
+    }
+    auto base = [](std::uint64_t n) {
+      return n != 0 ? static_cast<double>(n) : 1.0;
+    };
+    RegionSignature sig;
+    sig.start = start;
+    sig.length = len;
+    for (std::size_t d = 0; d < kSignatureDims; ++d)
+      sig.v[d] = static_cast<double>(count[d]) /
+                 base(d < 7 ? len : d < 15 ? loads : d < 24 ? deltas : mem);
+    sig.mem_ops = mem;
+    sig.distinct_lines = last.size();
+    sig.first_touch_fraction =
+        mem != 0 ? static_cast<double>(first) / static_cast<double>(mem) : 0.0;
+    out.push_back(sig);
+    start += len;
+  }
+  return out;
+}
+
+TEST(SignatureScan, BlockScanEqualsThePerRecordReferenceBitForBit) {
+  // Two phases, so the stride and reuse histograms see both a pointer
+  // chase and a stream.  100'235 records in 1024-record chunks: regions
+  // straddle chunk and block boundaries.
+  std::vector<Instr> ref = generate("mcf-like", 60'000);
+  const std::vector<Instr> tail = generate("libquantum-like", 40'235);
+  ref.insert(ref.end(), tail.begin(), tail.end());
+  TempFile f(tmp_path("scan"));
+  {
+    VectorTraceSource s(ref);
+    ASSERT_TRUE(write_trace_file_v2(f.path, s, ref.size(), nullptr, 1024));
+  }
+  // 777 and 50'000 each leave a trailing sliver under 1% of a region (2
+  // and 235 records) that folds into its predecessor; 1'000 leaves a
+  // 235-record tail that stands as a region of its own.
+  for (const std::uint64_t region : {777ULL, 50'000ULL, 1'000ULL}) {
+    FileTraceSource src(f.path);
+    const std::vector<RegionSignature> got =
+        compute_region_signatures(src, region);
+    const std::vector<RegionSignature> want = reference_signatures(ref, region);
+    ASSERT_EQ(got.size(), want.size()) << region;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const RegionSignature& g = got[i];
+      const RegionSignature& w = want[i];
+      ASSERT_EQ(g.start, w.start) << region << " region " << i;
+      ASSERT_EQ(g.length, w.length) << region << " region " << i;
+      ASSERT_EQ(g.mem_ops, w.mem_ops) << region << " region " << i;
+      ASSERT_EQ(g.distinct_lines, w.distinct_lines)
+          << region << " region " << i;
+      ASSERT_EQ(std::memcmp(&g.first_touch_fraction, &w.first_touch_fraction,
+                            sizeof(double)),
+                0)
+          << region << " region " << i;
+      ASSERT_EQ(std::memcmp(g.v.data(), w.v.data(), sizeof g.v), 0)
+          << region << " region " << i;
+    }
+  }
+}
+
+TEST(SignatureScan, TraceAndSignatureCacheBytesArePinned) {
+  // FNV-1a64 of the whole files the PlannedTrace pipeline writes, recorded
+  // before the writer folded its two digest passes into one and before the
+  // scan moved onto the block decoder: both formats are byte-identical.
+  PlannedTrace t;
+  SampleConfig cfg = small_sample_config();
+  TempFile cache(tmp_path("sigs"));
+  cfg.signature_cache = cache.path;
+  FileTraceSource src(t.file.path);
+  build_sample_plan(src, cfg);
+  auto fnv = [](const std::string& bytes) {
+    return trace_digest_update(bytes.data(), bytes.size(), kTraceDigestSeed);
+  };
+  EXPECT_EQ(fnv(read_bytes(t.file.path)), 0x3ca24551ee9cda61ULL);
+  EXPECT_EQ(fnv(read_bytes(cache.path)), 0x0985bfec568e84aaULL);
+}
+
+TEST(SignatureScan, BucketHelpersMatchTheLoopsAtEdges) {
+  std::vector<std::uint64_t> values = {0, 1, 65535, ~0ULL};
+  for (int k = 1; k < 64; ++k) {
+    const std::uint64_t p = 1ULL << k;
+    values.insert(values.end(), {p - 1, p, p + 1});
+  }
+  for (const std::uint64_t v : values) {
+    for (const std::size_t buckets : {1, 7, 8})
+      EXPECT_EQ(log2_bucket(v, buckets), loop_log2_bucket(v, buckets))
+          << v << " in " << buckets;
+    EXPECT_EQ(reuse_bucket(v), loop_reuse_bucket(v)) << v;
+  }
+  for (std::uint32_t d = 0; d <= 0xFFFF; ++d)  // every dep_dist there is
+    ASSERT_EQ(dep_bucket(static_cast<std::uint16_t>(d)),
+              loop_dep_bucket(static_cast<std::uint16_t>(d)))
+        << d;
+  for (const std::int64_t mag :
+       {0LL, 1LL, 2LL, 3LL, 16LL, 17LL, 256LL, 257LL, 1LL << 58})
+    for (const std::int64_t delta : {mag, -mag})
+      EXPECT_EQ(stride_bucket(delta), loop_stride_bucket(delta)) << delta;
 }
 
 // --- sampled simulation ----------------------------------------------------

@@ -7,12 +7,15 @@
 // (degenerate), 7 (chunk-straddling odd size), 256 (full block), and sizes
 // that straddle EOF mid-batch.  It also pins the block decoder's error point
 // on a corrupted chunk (the same record as next()), the per-chunk digest
-// memo under seek-back, and StallSeries round-tripping StallEvent exactly.
+// memo under seek-back, the grouped verification's error contract (a bad
+// chunk found early throws only when it is entered), and StallSeries
+// round-tripping StallEvent exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -250,6 +253,147 @@ TEST(TraceBatch, CorruptChunkThrowsAtTheSameRecordInBothReaders) {
   bool threw_batch = false;
   EXPECT_EQ(batch_served(batch_src, threw_batch), (intact / 7) * 7);
   EXPECT_TRUE(threw_batch);
+}
+
+// --- grouped verification ----------------------------------------------------
+
+/// Write `ref` as MAPGTRC2 with 1024-record chunks, then flip one payload
+/// byte inside `bad_chunk` (none when it is past the last chunk).
+void write_v2_with_bad_chunk(const std::string& path,
+                             const std::vector<Instr>& ref,
+                             std::uint64_t bad_chunk) {
+  {
+    VectorTraceSource s(ref);
+    ASSERT_TRUE(write_trace_file_v2(path, s, ref.size(), nullptr, 1024));
+  }
+  const std::uint64_t n_chunks = (ref.size() + 1023) / 1024;
+  if (bad_chunk >= n_chunks) return;
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign((std::istreambuf_iterator<char>(in)),
+                 std::istreambuf_iterator<char>());
+  }
+  // Header 40 B, 24 B per index entry, 11 B records; +2 lands inside the
+  // first record even of a short chunk.
+  const std::size_t off = 40 + n_chunks * 24 + bad_chunk * 1024 * 11 + 2;
+  ASSERT_LT(off, bytes.size());
+  bytes[off] = static_cast<char>(bytes[off] ^ 0x40);
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+/// Records next() serves before it throws (or reaches the end).
+std::uint64_t served_by_next(FileTraceSource& src, bool& threw,
+                             std::string* what = nullptr) {
+  Instr instr;
+  std::uint64_t served = 0;
+  threw = false;
+  try {
+    while (src.next(instr)) ++served;
+  } catch (const std::runtime_error& e) {
+    threw = true;
+    if (what != nullptr) *what = e.what();
+  }
+  return served;
+}
+
+/// Records next_batch serves in full batches of `b` before it throws.
+std::uint64_t served_by_batches(FileTraceSource& src, std::size_t b,
+                                bool& threw) {
+  InstrBlock block;
+  std::uint64_t served = 0;
+  threw = false;
+  try {
+    while (src.next_batch(block, b) == b) served += b;
+    served += block.count;
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  return served;
+}
+
+TEST(GroupedVerification, BadChunkAtEachGroupPositionThrowsAtItsFirstRecord) {
+  // Four chunks, the last one short: the first load verifies all four in
+  // one group, so each position of the group (the loaded chunk, the two
+  // full ones behind it, and the short tail) must hold its verdict until
+  // the reader enters it.
+  constexpr std::uint64_t kLen = 3 * 1024 + 500;
+  const std::vector<Instr> ref = generate("gcc-like", kLen);
+  for (std::uint64_t bad = 0; bad < 4; ++bad) {
+    TempFile f(tmp_path("group" + std::to_string(bad)));
+    write_v2_with_bad_chunk(f.path, ref, bad);
+    const std::uint64_t intact = bad * 1024;
+
+    FileTraceSource scalar_src(f.path);
+    bool threw = false;
+    std::string what;
+    EXPECT_EQ(served_by_next(scalar_src, threw, &what), intact) << bad;
+    EXPECT_TRUE(threw) << bad;
+    EXPECT_NE(what.find("chunk " + std::to_string(bad) +
+                        " payload digest mismatch"),
+              std::string::npos)
+        << what;
+    for (const std::size_t b : {std::size_t{7}, std::size_t{256}}) {
+      FileTraceSource batch_src(f.path);
+      EXPECT_EQ(served_by_batches(batch_src, b, threw), (intact / b) * b)
+          << "chunk " << bad << ", batch " << b;
+      EXPECT_TRUE(threw) << "chunk " << bad << ", batch " << b;
+    }
+    // The intact prefix is the right prefix.
+    FileTraceSource prefix_src(f.path);
+    const std::vector<Instr> want(ref.begin(),
+                                  ref.begin() + static_cast<long>(intact));
+    expect_same_stream(want, scalar_read(prefix_src, intact));
+  }
+}
+
+TEST(GroupedVerification, FileShrunkAfterOpenThrowsShortReadAtTheLostChunk) {
+  // A read that fails during the group pass is a stored verdict too: the
+  // chunks before the cut are served whole, then the first lost chunk
+  // throws a short read.
+  const std::vector<Instr> ref = generate("mcf-like", kStreamLen);
+  TempFile f(tmp_path("shrunk"));
+  write_v2_with_bad_chunk(f.path, ref, ~0ULL);
+  FileTraceSource src(f.path);
+  std::filesystem::resize_file(f.path, 40 + 5 * 24 + 2 * 1024 * 11 + 100);
+  bool threw = false;
+  std::string what;
+  EXPECT_EQ(served_by_next(src, threw, &what), 2u * 1024u);
+  EXPECT_TRUE(threw);
+  EXPECT_NE(what.find("short read in chunk 2"), std::string::npos) << what;
+}
+
+TEST(GroupedVerification, WindowsAroundABadChunkReadCleanly) {
+  const std::vector<Instr> ref = generate("omnetpp-like", kStreamLen);
+  TempFile f(tmp_path("window"));
+  write_v2_with_bad_chunk(f.path, ref, 2);
+  auto slice = [&](std::uint64_t from, std::uint64_t to) {
+    return std::vector<Instr>(ref.begin() + static_cast<long>(from),
+                              ref.begin() + static_cast<long>(to));
+  };
+  FileTraceSource src(f.path);
+  // A window that ends before the bad chunk: its group pass found the bad
+  // chunk, but the window never enters it.
+  src.seek(100);
+  {
+    LimitedTraceSource window(src, 2 * 1024 - 100);
+    expect_same_stream(slice(100, 2 * 1024), scalar_read(window, kStreamLen));
+  }
+  // A seek past it reads to the end cleanly, through next() and batches.
+  src.seek(3 * 1024 + 5);
+  expect_same_stream(slice(3 * 1024 + 5, kStreamLen),
+                     scalar_read(src, kStreamLen));
+  src.seek(3 * 1024 + 5);
+  expect_same_stream(slice(3 * 1024 + 5, kStreamLen),
+                     batch_read(src, 7, kStreamLen));
+  // Entering the bad chunk throws; seeking back afterwards serves the
+  // intact chunk again, not the bytes the failed load left behind.
+  src.seek(2 * 1024 - 3);
+  bool threw = false;
+  EXPECT_EQ(served_by_next(src, threw), 3u);
+  EXPECT_TRUE(threw);
+  src.seek(1024);
+  expect_same_stream(slice(1024, 2 * 1024), scalar_read(src, 1024));
 }
 
 // --- stall series ----------------------------------------------------------
