@@ -19,8 +19,6 @@ BenchEnv parse_env(int argc, char** argv, std::uint64_t default_instructions,
   env.sim.warmup_instructions = cfg.get_uint("warmup", default_warmup);
   env.sim.run_seed = cfg.get_uint("seed", 42);
   env.sim.fast_forward = cfg.get_bool("fast-forward", true);
-  env.sim.checkpoint_stride =
-      cfg.get_uint("checkpoint-stride", env.sim.checkpoint_stride);
   const std::string dram_power = cfg.get_or("dram-power", "off");
   if (dram_power == "timeout")
     env.sim.mem.dram.power.mode = DramPowerMode::kTimeout;
@@ -98,14 +96,13 @@ void report_engine(const BenchEnv& env) {
   const CacheStatsSnapshot c = env.engine->cache().stats();
   std::fprintf(stderr,
                "[exec] %llu simulated, %llu replayed (%llu timelines, "
-               "%llu full fallbacks, %llu prefix resumes), "
+               "%llu full fallbacks), "
                "%llu cached (mem %llu / disk %llu), "
                "%llu failed, %.0f ms sim time across %u worker(s)\n",
                static_cast<unsigned long long>(s.jobs_run),
                static_cast<unsigned long long>(s.jobs_replayed),
                static_cast<unsigned long long>(s.timelines_recorded),
                static_cast<unsigned long long>(s.replay_fallbacks),
-               static_cast<unsigned long long>(s.replay_prefix_resumes),
                static_cast<unsigned long long>(s.jobs_cached),
                static_cast<unsigned long long>(c.memory_hits),
                static_cast<unsigned long long>(c.disk_hits),

@@ -31,13 +31,6 @@
 //                      every cell then simulates directly.  Results are
 //                      bit-identical either way (bench/micro_replay_speedup
 //                      verifies, tests/test_replay.cpp proves)
-//   --checkpoint-stride=N
-//                      instructions between architectural checkpoints
-//                      captured while recording a reference timeline
-//                      (replay/checkpoint.h); penalized cells resume from
-//                      the latest eligible checkpoint instead of cycle 0.
-//                      0 disables capture; results are bit-identical for
-//                      any stride (tests/test_checkpoint.cpp proves)
 // Observability flags (see docs/OBSERVABILITY.md):
 //   --metrics-out=FILE write the end-of-run metrics snapshot as JSON
 //   --trace-out=FILE   record a Chrome trace (open in Perfetto or

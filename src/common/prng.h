@@ -34,8 +34,8 @@ class SplitMix64 {
 class Prng {
  public:
   using result_type = std::uint64_t;
-  /// The full generator state.  Exposed so architectural checkpoints
-  /// (src/replay/checkpoint.h) can snapshot and restore a stream mid-run
+  /// The full generator state.  Exposed so Cache::export_state /
+  /// import_state can snapshot and restore a victim stream mid-run
   /// bit-exactly; the state is the only mutable member, so
   /// set_state(state()) round-trips perfectly.
   using State = std::array<std::uint64_t, 4>;

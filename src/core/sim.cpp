@@ -137,8 +137,7 @@ SimResult Simulator::run(TraceSource& trace, const std::string& workload_name,
 
 SimResult Simulator::run_recorded(const WorkloadProfile& profile,
                                   const std::string& policy_spec,
-                                  RunRecord& record,
-                                  const CheckpointHook& hook) const {
+                                  RunRecord& record) const {
   // The trace is materialized in the same pass that runs it (TeeTraceSource
   // above): generation is a pure function of (profile, run_seed) and the
   // core consumes exactly warmup + measured instructions, so the buffer
@@ -157,7 +156,7 @@ SimResult Simulator::run_recorded(const WorkloadProfile& profile,
     throw std::invalid_argument("unknown policy spec: " + policy_spec);
   TraceGenerator gen(profile, config_.run_seed);
   TeeTraceSource tee(gen, *buf);
-  SimResult result = run_impl(tee, profile.name, *policy, &record, hook);
+  SimResult result = run_impl(tee, profile.name, *policy, &record);
   record.trace = std::move(buf);
   return result;
 }
@@ -165,8 +164,7 @@ SimResult Simulator::run_recorded(const WorkloadProfile& profile,
 SimResult Simulator::run_recorded(TraceSource& trace,
                                   const std::string& workload_name,
                                   const std::string& policy_spec,
-                                  RunRecord& record,
-                                  const CheckpointHook& hook) const {
+                                  RunRecord& record) const {
   // Trace-source variant of the profile overload: same single-pass tee, but
   // the stream comes from an external source (a trace-file window in sampled
   // simulation) instead of a generator.
@@ -183,15 +181,14 @@ SimResult Simulator::run_recorded(TraceSource& trace,
   if (!policy)
     throw std::invalid_argument("unknown policy spec: " + policy_spec);
   TeeTraceSource tee(trace, *buf);
-  SimResult result = run_impl(tee, workload_name, *policy, &record, hook);
+  SimResult result = run_impl(tee, workload_name, *policy, &record);
   record.trace = std::move(buf);
   return result;
 }
 
 SimResult Simulator::run_impl(TraceSource& trace,
                               const std::string& workload_name,
-                              PgPolicy& policy, RunRecord* record,
-                              const CheckpointHook& hook) const {
+                              PgPolicy& policy, RunRecord* record) const {
   MAPG_OBS_SCOPED_TIMER("sim.run.ns", "sim");
   const PgCircuit circuit(config_.pg, config_.tech);
   MemoryHierarchy mem(config_.mem);
@@ -208,57 +205,21 @@ SimResult Simulator::run_impl(TraceSource& trace,
   Core core(config_.core, mem, handler);
   core.set_step_mode(kparams.mode);
 
-  // Checkpointed recording chunks each phase's core.run at absolute-stride
-  // boundaries and fires the hook between instructions.  core.run is a
-  // plain resumable loop, so the chunked run is bit-identical to a single
-  // call (run_thermal's epoch loop relies on the same property; the
-  // checkpoint differential proves it per stride).
-  const std::uint64_t stride =
-      (record != nullptr && hook) ? config_.checkpoint_stride : 0;
-  auto run_phase = [&](std::uint64_t phase_instrs, std::uint64_t phase_base,
-                       bool in_warmup) {
-    if (stride == 0) {
-      core.run(trace, phase_instrs);
-      return;
-    }
-    std::uint64_t done = 0;
-    while (done < phase_instrs) {
-      const std::uint64_t abs = phase_base + done;
-      const std::uint64_t next_mark = (abs / stride + 1) * stride;
-      const std::uint64_t chunk =
-          std::min(phase_instrs - done, next_mark - abs);
-      const std::uint64_t before = core.stats().instrs;
-      core.run(trace, chunk);
-      const std::uint64_t executed = core.stats().instrs - before;
-      done += executed;
-      if (executed < chunk) break;  // trace exhausted
-      // Interior marks only: a mark at the phase end is either superseded
-      // by the post-reset warmup-boundary capture or has nothing left to
-      // resume into.
-      if (phase_base + done == next_mark && done < phase_instrs)
-        hook(core, mem, phase_base + done, in_warmup);
-    }
-  };
-
   // Warmup: populate caches, open DRAM rows, and let streams reach steady
   // state before measurement.  Gating runs during warmup too (so PG state is
   // realistic), but its statistics are discarded.
   if (config_.warmup_instructions > 0) {
-    run_phase(config_.warmup_instructions, 0, true);
+    core.run(trace, config_.warmup_instructions);
     // Classify warmup idle before the reset so the measured residency
     // counters cover exactly the measured window.
     mem.dram().settle_power(core.now());
     core.reset_stats();
     mem.reset_stats();
     controller.reset_stats();
-    // The most valuable checkpoint: captured after the boundary resets, so
-    // resuming from it skips the whole warmup for any policy penalized only
-    // in the measured phase.
-    if (stride > 0) hook(core, mem, config_.warmup_instructions, false);
   }
   if (record != nullptr) recorder.set_sink(record->stalls);
 
-  run_phase(config_.instructions, config_.warmup_instructions, false);
+  core.run(trace, config_.instructions);
   mem.dram().settle_power(core.now());
 
   SimResult result;

@@ -11,7 +11,6 @@
 // (config, profile, policy spec).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -44,19 +43,9 @@ struct SimConfig {
   /// true (default): resolve full-core stall windows in closed form
   /// (fast-forward); false: tick them cycle by cycle through the reference
   /// kernel.  Results are bit-identical either way (see docs/MODEL.md and
-  /// tests/test_differential.cpp); the flag is part of the experiment
-  /// identity so cached results never mix kernels silently.
+  /// tests/test_differential.cpp), so the flag is an execution strategy
+  /// like --jobs and stays out of the experiment identity.
   bool fast_forward = true;
-  /// Instructions between architectural checkpoints captured while a
-  /// reference timeline is being recorded (run_recorded with a hook;
-  /// src/replay/checkpoint.h).  0 disables capture.  Checkpointed recording
-  /// chunks the run at stride boundaries, which is bit-identical to a single
-  /// run (core.run is a plain resumable loop; run_thermal relies on the same
-  /// property).  Results are therefore identical for any stride — the knob
-  /// still joins the experiment identity (exec schema v5), following the
-  /// fast_forward precedent: equivalences stay falsifiable, never assumed
-  /// by the cache.
-  std::uint64_t checkpoint_stride = 1'000'000;
 };
 
 struct SimResult {
@@ -143,33 +132,20 @@ class Simulator {
   SimResult run(TraceSource& trace, const std::string& workload_name,
                 const std::string& policy_spec) const;
 
-  /// Called at each checkpoint boundary of a recording run: the core and
-  /// hierarchy (frozen between instructions), the absolute number of trace
-  /// instructions consumed so far (warmup included), and whether the warmup
-  /// boundary has not yet been crossed.  The boundary invocation (instr_pos
-  /// == warmup_instructions, in_warmup == false) happens AFTER the warmup
-  /// settle/reset sequence, so a capture there reflects post-reset state.
-  using CheckpointHook = std::function<void(
-      const Core& core, const MemoryHierarchy& mem, std::uint64_t instr_pos,
-      bool in_warmup)>;
-
   /// Like run(profile, policy_spec), but additionally materializes the trace
   /// into `record.trace` and captures every full-core StallEvent (warmup and
   /// measured phases separately).  The returned result is bit-identical to
   /// the unrecorded run — recording only tees, it never perturbs timing.
-  /// With a non-null `hook` and config().checkpoint_stride > 0, the hook is
-  /// invoked at every stride boundary and at the warmup boundary
-  /// (src/replay/checkpoint.h captures SimCheckpoints there).
   SimResult run_recorded(const WorkloadProfile& profile,
-                         const std::string& policy_spec, RunRecord& record,
-                         const CheckpointHook& hook = nullptr) const;
+                         const std::string& policy_spec,
+                         RunRecord& record) const;
 
   /// Trace-source variant of run_recorded: identical tee/record semantics,
   /// but instructions come from `trace` (e.g. a file-trace window in sampled
   /// simulation, src/sample) instead of the profile's generator.
   SimResult run_recorded(TraceSource& trace, const std::string& workload_name,
-                         const std::string& policy_spec, RunRecord& record,
-                         const CheckpointHook& hook = nullptr) const;
+                         const std::string& policy_spec,
+                         RunRecord& record) const;
 
   /// Like run(), but integrates the core hot-spot temperature epoch by
   /// epoch and applies the leakage-temperature feedback (R-Tab.7).  Uses
@@ -187,8 +163,7 @@ class Simulator {
 
  private:
   SimResult run_impl(TraceSource& trace, const std::string& workload_name,
-                     PgPolicy& policy, RunRecord* record,
-                     const CheckpointHook& hook = nullptr) const;
+                     PgPolicy& policy, RunRecord* record) const;
 
   SimConfig config_;
 };

@@ -1,7 +1,6 @@
 #include "cpu/core.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -39,31 +38,6 @@ Core::Core(CoreConfig config, MemoryHierarchy& mem, StallHandler* handler)
 void Core::reset_stats() {
   stats_ = CoreStats{};
   stats_base_ = now_;
-}
-
-Core::State Core::export_state() const {
-  State s;
-  s.now = now_;
-  s.slot = slot_;
-  s.stats_base = stats_base_;
-  s.next_id = next_id_;
-  s.scoreboard = scoreboard_;
-  s.outstanding = outstanding_;
-  s.stats = stats_;
-  return s;
-}
-
-void Core::import_state(const State& s) {
-  assert(s.scoreboard.size() == scoreboard_.size() &&
-         "checkpoint was captured under a different CoreConfig");
-  now_ = s.now;
-  slot_ = s.slot;
-  stats_base_ = s.stats_base;
-  next_id_ = s.next_id;
-  sb_pos_ = static_cast<std::uint32_t>(next_id_ % scoreboard_.size());
-  scoreboard_ = s.scoreboard;
-  outstanding_ = s.outstanding;
-  stats_ = s.stats;
 }
 
 void Core::prune_outstanding() {

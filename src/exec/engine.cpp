@@ -57,8 +57,7 @@ ExperimentEngine::ExperimentEngine(ExecOptions options)
           "exec.jobs.replayed", "exec.cache.mem_hit", "exec.cache.disk_hit",
           "exec.cache.miss", "exec.cache.store", "sim.replay.timelines",
           "sim.replay.windows", "sim.replay.cells",
-          "sim.replay.full_fallbacks", "sim.replay.prefix_resumes",
-          "sim.replay.windows_saved", "sim.sample.regions",
+          "sim.replay.full_fallbacks", "sim.sample.regions",
           "sim.sample.clusters", "sim.sample.simulated",
           "sim.sample.projected"})
       reg.counter(name);
@@ -84,8 +83,8 @@ EngineStats ExperimentEngine::stats() const {
 }
 
 JobOutcome ExperimentEngine::execute(
-    const ExperimentJob& job,
-    std::shared_ptr<const std::vector<Instr>> trace) {
+    const ExperimentJob& job, std::shared_ptr<const std::vector<Instr>> trace,
+    std::optional<std::uint64_t> fallback_window) {
   const std::string key =
       cache_key(job.config, job.profile, job.policy_spec,
                 job.trace ? &*job.trace : nullptr);
@@ -101,6 +100,7 @@ JobOutcome ExperimentEngine::execute(
     out.from_cache = true;
     out.wall_ms = now_ms() - t0;
   } else {
+    out.fallback_window = fallback_window;
     try {
       const Simulator sim(job.config);
       if (job.trace.has_value()) {
@@ -168,16 +168,17 @@ void ExperimentEngine::account(const ExperimentJob& job,
                          static_cast<std::uint64_t>(out.wall_ms * 1e6));
     obs::EventTracer& tracer = obs::EventTracer::instance();
     if (tracer.enabled()) {
+      obs::TraceArgs args;
+      args.add("workload", job.profile.name)
+          .add("policy", job.policy_spec)
+          .add("seed", job.config.run_seed)
+          .add("cached", out.from_cache)
+          .add("replayed", out.from_replay)
+          .add("ok", out.ok);
+      if (out.fallback_window)
+        args.add("fallback_window", *out.fallback_window);
       tracer.complete("job", "exec", trace_ts, tracer.now_ns() - trace_ts,
-                      obs::TraceArgs()
-                          .add("workload", job.profile.name)
-                          .add("policy", job.policy_spec)
-                          .add("seed", job.config.run_seed)
-                          .add("cached", out.from_cache)
-                          .add("replayed", out.from_replay)
-                          .add("resumed", out.from_resume)
-                          .add("ok", out.ok)
-                          .json());
+                      args.json());
       const CacheStatsSnapshot cs = cache_->stats();
       tracer.counter("exec.cache",
                      obs::TraceArgs()
@@ -208,7 +209,8 @@ void ExperimentEngine::log_job(const ExperimentJob& job,
   line["ok"] = Json::boolean(outcome.ok);
   line["cached"] = Json::boolean(outcome.from_cache);
   line["replayed"] = Json::boolean(outcome.from_replay);
-  line["resumed"] = Json::boolean(outcome.from_resume);
+  if (outcome.fallback_window)
+    line["fallback_window"] = Json::number(*outcome.fallback_window);
   line["wall_ms"] = Json::number(outcome.wall_ms);
   if (!outcome.ok) line["error"] = Json::string(outcome.error);
   std::lock_guard<std::mutex> lk(mu_);
@@ -233,9 +235,9 @@ JobOutcome ExperimentEngine::run_one(const ExperimentJob& job) {
 }
 
 JobOutcome ExperimentEngine::run_one_traced(
-    const ExperimentJob& job,
-    std::shared_ptr<const std::vector<Instr>> trace) {
-  return execute(job, std::move(trace));
+    const ExperimentJob& job, std::shared_ptr<const std::vector<Instr>> trace,
+    std::optional<std::uint64_t> fallback_window) {
+  return execute(job, std::move(trace), fallback_window);
 }
 
 void ExperimentEngine::submit_detached(std::function<void()> task) {
@@ -402,35 +404,15 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
       replay_threw = true;  // e.g. bad spec — direct path reports the error
     }
     if (!replayed.ok) {
-      // The prefix before the first penalized window is still exact:
-      // resume direct simulation from the latest checkpoint inside it
-      // (replay/checkpoint.h) instead of re-simulating from cycle 0.
-      if (!replay_threw && !timeline.checkpoints.empty() &&
-          replayed.windows > 0) {
-        ResumeOutcome resumed =
-            resume_policy(timeline, job.policy_spec, replayed.windows - 1);
-        if (resumed.ok) {
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.replay_prefix_resumes;
-            stats_.replay_windows_saved += resumed.windows_replayed;
-          }
-          JobOutcome out;
-          out.result = cache_->store(key, std::move(resumed.result));
-          out.ok = true;
-          out.from_resume = true;
-          out.wall_ms = now_ms() - t0;
-          account(job, key, out, 0);
-          outcomes[c] = std::move(out);
-          continue;
-        }
-      }
+      // A bad spec throws before any window; the direct path reports it.
+      std::optional<std::uint64_t> fallback_window;
       if (!replay_threw) {
+        fallback_window = replayed.windows - 1;
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.replay_fallbacks;
         MAPG_OBS_COUNTER_INC("sim.replay.full_fallbacks");
       }
-      outcomes[c] = execute(job, timeline.record.trace);
+      outcomes[c] = execute(job, timeline.record.trace, fallback_window);
       continue;
     }
     JobOutcome out;

@@ -75,10 +75,10 @@ struct JobOutcome {
   /// Reconstituted from a recorded stall timeline instead of simulated
   /// (bit-identical to a direct run; see src/replay).
   bool from_replay = false;
-  /// Simulated, but starting from an architectural checkpoint instead of
-  /// cycle 0 (replay hit a penalized window; see replay/checkpoint.h).
-  /// Counted under jobs_run — it IS a simulation, just a shorter one.
-  bool from_resume = false;
+  /// Set only when replay hit a penalized window and the cell fell back to
+  /// a full direct simulation: the index of that first penalized window
+  /// (ReplayOutcome::windows - 1, counting warmup windows).
+  std::optional<std::uint64_t> fallback_window;
   std::string error;     ///< exception text when !ok
   double wall_ms = 0.0;  ///< this job's execution (or cache lookup) time
 };
@@ -131,16 +131,9 @@ struct EngineStats {
   std::uint64_t jobs_failed = 0;
   std::uint64_t jobs_replayed = 0;  ///< cells reconstituted from a timeline
   std::uint64_t timelines_recorded = 0;  ///< reference recordings performed
-  /// Replays abandoned on a penalized window whose cell fell back to a FULL
-  /// direct simulation from cycle 0 (no usable checkpoint).
+  /// Replays abandoned on a penalized window whose cell fell back to a
+  /// full direct simulation over the shared trace.
   std::uint64_t replay_fallbacks = 0;
-  /// Replays abandoned on a penalized window whose cell resumed direct
-  /// simulation from an architectural checkpoint instead of cycle 0
-  /// (replay/checkpoint.h).  Disjoint from replay_fallbacks.
-  std::uint64_t replay_prefix_resumes = 0;
-  /// Stall windows skipped by prefix-resumes (the prefix the resumed
-  /// controller was fed from the recording instead of re-simulating).
-  std::uint64_t replay_windows_saved = 0;
   double busy_ms = 0;               ///< summed per-job wall time
 };
 
@@ -163,8 +156,11 @@ class ExperimentEngine {
   /// generator (bit-identical; see execute()).  Serve-layer hook: the
   /// tiered executor re-simulates replay-ineligible cells from a cached
   /// StallTimeline's trace without regenerating it (src/serve/tiered.h).
+  /// `fallback_window` is the first penalized window that sent the cell
+  /// here, carried into the outcome, run log and trace.
   JobOutcome run_one_traced(const ExperimentJob& job,
-                            std::shared_ptr<const std::vector<Instr>> trace);
+                            std::shared_ptr<const std::vector<Instr>> trace,
+                            std::optional<std::uint64_t> fallback_window = {});
 
   /// Enqueue an opaque task on the engine's pool and return immediately
   /// (the pool is created on first use; with jobs <= 1 the task runs
@@ -198,8 +194,10 @@ class ExperimentEngine {
   /// Simulate (or serve from cache) one cell.  A non-null `trace` feeds the
   /// simulator from the shared materialized buffer instead of a fresh
   /// generator — the stream is identical, so results are bit-identical.
+  /// A simulated cell carries `fallback_window` into its outcome.
   JobOutcome execute(const ExperimentJob& job,
-                     std::shared_ptr<const std::vector<Instr>> trace = {});
+                     std::shared_ptr<const std::vector<Instr>> trace = {},
+                     std::optional<std::uint64_t> fallback_window = {});
   /// Shared outcome bookkeeping: engine stats, obs counters/trace, run log.
   void account(const ExperimentJob& job, const std::string& key,
                const JobOutcome& outcome, std::uint64_t trace_ts);

@@ -38,12 +38,9 @@ namespace mapg {
 /// unchanged; the bump draws a provenance boundary — every cached result
 /// from v4 on was produced (or could have been produced) by the replay
 /// engine, and caches written before it are never matched again.
-/// v5: checkpoint + prefix-resume (src/replay/checkpoint.h).
-/// SimConfig::checkpoint_stride joined the experiment identity — resumed
-/// cells are bit-identical for any stride (tests/test_checkpoint.cpp), but
-/// the knob follows the fast_forward precedent: equivalences stay
-/// falsifiable, never assumed by the cache.  The bump is also the
-/// prefix-resume provenance boundary.
+/// v5: checkpoint + prefix-resume.  The checkpoint stride joined the
+/// experiment identity; the bump was the prefix-resume provenance boundary.
+/// Both have since been deleted (see the v7 amendment).
 /// v6: multi-standard DRAM backend (docs/DRAM.md).  The DramConfig standard
 /// label, page policy (+ hybrid_addr_bits), and FR-FCFS posted-write queue
 /// knobs (queue_depth, write_starve_limit) joined the experiment identity,
@@ -56,6 +53,12 @@ namespace mapg {
 /// independent), the window offset, and the workload label.  Generator
 /// cells encode exactly as in v6 apart from the tag; the bump is the
 /// provenance boundary for trace-bound keys.
+/// v7 amendment: one cache-identity rule — execution strategy never joins
+/// the identity.  fast_forward and the checkpoint stride left the config
+/// encoding: both were proven result-invariant, exactly like --jobs, which
+/// never joined it.  The tag stays 7 because result_to_json embeds it and
+/// a bump would move every pinned result digest; dropping the fields
+/// already changes every key, so no pre-amendment entry is ever matched.
 inline constexpr int kExecSchemaVersion = 7;
 
 // --- Results ---

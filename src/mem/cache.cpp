@@ -222,7 +222,7 @@ Cache::State Cache::export_state() const {
 void Cache::import_state(const State& s) {
   assert(s.lines.size() == tags_.size() &&
          s.plru_bits.size() == plru_bits_.size() &&
-         "checkpoint was captured under a different CacheConfig");
+         "state was exported under a different CacheConfig");
   for (std::size_t i = 0; i < tags_.size(); ++i) {
     const Line& l = s.lines[i];
     assert((l.valid || l == Line{}) && "invalid line must be Line{}");

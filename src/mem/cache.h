@@ -59,8 +59,8 @@ struct CacheStats {
 
 class Cache {
  public:
-  /// One cache line's tag state: the checkpoint record.  The live arrays
-  /// are per-lane (see the private section); export_state()/import_state()
+  /// One cache line's tag state, as State records it.  The live arrays are
+  /// per-lane (see the private section); export_state()/import_state()
   /// convert to and from this form.
   struct Line {
     Addr tag = kNoAddr;
@@ -75,8 +75,9 @@ class Cache {
   /// Complete mutable state: every line (tags, dirty/prefetch bits, LRU
   /// stamps), the tree-PLRU bits, the global stamp counter, the random-
   /// victim PRNG stream, and the statistics.  import_state() requires a
-  /// Cache constructed with the same CacheConfig; round-trips bit-exactly
-  /// (src/replay/checkpoint.h).  An invalid line is exported as Line{}.
+  /// Cache constructed with the same CacheConfig; round-trips bit-exactly.
+  /// The SoA-vs-AoS differential (tests/test_cache_diff.cpp) compares and
+  /// cross-loads caches through it.  An invalid line is exported as Line{}.
   struct State {
     std::vector<Line> lines;
     std::vector<std::uint8_t> plru_bits;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -171,13 +170,6 @@ Dram::State Dram::export_state() const {
   s.channels = channels_;
   s.stats = stats_;
   return s;
-}
-
-void Dram::import_state(const State& s) {
-  assert(s.channels.size() == channels_.size() &&
-         "checkpoint was captured under a different DramConfig");
-  channels_ = s.channels;
-  stats_ = s.stats;
 }
 
 void Dram::map_address(Addr line_addr, std::uint32_t& channel,

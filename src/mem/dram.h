@@ -262,16 +262,10 @@ class Dram {
   };
 
   /// Complete mutable state: every bank's open row / ready / tRAS anchor,
-  /// per-channel bus occupancy, the pending posted-write queue (a checkpoint
-  /// taken with writes in flight must re-issue exactly those writes at
-  /// exactly the deferred times a from-zero run would), and the per-channel
-  /// low-power anchors (idle_from / accounted_until — the values
-  /// power_exit_shift and settle_channel key off, so a restored channel
-  /// still pays the exact tXP/tXS exit penalty and classifies residency
-  /// identically), plus the statistics.  Refresh needs no explicit anchor:
-  /// skip_refresh() is anchored in ABSOLUTE time (tREFI multiples), so
-  /// restoring the clock restores refresh alignment (docs/MODEL.md §4c).
-  /// import_state() requires a Dram constructed with the same DramConfig.
+  /// per-channel bus occupancy, the pending posted-write queue, the
+  /// per-channel low-power anchors (idle_from / accounted_until), plus the
+  /// statistics.  A read-only snapshot for inspection: the scheduler tests
+  /// check the posted-write queue through it.
   struct State {
     std::vector<Channel> channels;
     DramStats stats;
@@ -281,7 +275,6 @@ class Dram {
   ~Dram();  ///< flushes residency tallies into the obs registry
 
   State export_state() const;
-  void import_state(const State& s);
 
   /// Service one line-granular request arriving at the controller at `now`.
   /// `now` must be monotonically non-decreasing across calls.  With

@@ -1,7 +1,6 @@
 #include "mem/hierarchy.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -36,35 +35,6 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config, Cache& shared_l2,
     throw std::invalid_argument(
         "invalid hierarchy configuration: shared L2 line size must match "
         "the private L1D");
-}
-
-MemoryHierarchy::State MemoryHierarchy::export_state() const {
-  assert(owns_l2_and_dram() &&
-         "checkpointing is defined for the single-core owning hierarchy");
-  State s;
-  s.l1 = l1_.export_state();
-  s.l2 = l2_->export_state();
-  s.dram = dram_->export_state();
-  s.prefetcher = prefetcher_.export_state();
-  s.stats = stats_;
-  s.inflight = inflight_;
-  std::sort(s.inflight.begin(), s.inflight.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return s;
-}
-
-void MemoryHierarchy::import_state(const State& s) {
-  assert(owns_l2_and_dram() &&
-         "checkpointing is defined for the single-core owning hierarchy");
-  l1_.import_state(s.l1);
-  l2_->import_state(s.l2);
-  dram_->import_state(s.dram);
-  prefetcher_.import_state(s.prefetcher);
-  stats_ = s.stats;
-  // The imported table is sorted rather than in insertion order, but no
-  // simulator output depends on its order: lines are unique, lookups match
-  // by line, and pruning keeps the surviving set whatever the order.
-  inflight_ = s.inflight;
 }
 
 MemoryHierarchy::InflightTable::const_iterator MemoryHierarchy::find_inflight(

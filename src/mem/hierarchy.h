@@ -82,34 +82,8 @@ struct HierarchyStats {
 
 class MemoryHierarchy {
  public:
-  /// MSHR merge table: (line address, in-flight fill result) pairs, one
-  /// per line.
-  using InflightTable = std::vector<std::pair<Addr, MemAccessResult>>;
-
-  /// Complete mutable state of an OWNING hierarchy: both cache tag arrays,
-  /// DRAM bank/power anchors, the prefetcher table, the hierarchy counters,
-  /// and the MSHR merge table (`inflight`).  The merge table must be in the
-  /// checkpoint: whether a later load merges into an in-flight fill (and
-  /// thus skips L1/L2 tag access entirely) depends on it, so dropping it
-  /// would silently perturb both timing and tag state after a resume
-  /// (docs/MODEL.md §4c).  export_state() sorts `inflight` by line address
-  /// so equal tables export equal.  import_state() requires a hierarchy
-  /// constructed with the same HierarchyConfig; only the single-core owning
-  /// form is supported (export asserts owns_l2_and_dram()).
-  struct State {
-    Cache::State l1;
-    Cache::State l2;
-    Dram::State dram;
-    StreamPrefetcher::State prefetcher;
-    HierarchyStats stats;
-    InflightTable inflight;
-  };
-
   /// Single-core form: owns the L1, L2, and DRAM.
   explicit MemoryHierarchy(HierarchyConfig config);
-
-  State export_state() const;
-  void import_state(const State& s);
 
   /// Multi-core form: owns a private L1; L2 and DRAM are shared structures
   /// owned by the caller (see src/multicore).  All cores' accesses must be
@@ -144,7 +118,6 @@ class MemoryHierarchy {
   Cache& l1() { return l1_; }
   Cache& l2() { return *l2_; }
   Dram& dram() { return *dram_; }
-  bool owns_l2_and_dram() const { return owned_l2_ != nullptr; }
 
   /// Zero this hierarchy's statistics (own counters + private L1) without
   /// touching tag/bank state; also resets the L2/DRAM stats when owned.
@@ -160,6 +133,10 @@ class MemoryHierarchy {
   }
 
  private:
+  /// MSHR merge table: (line address, in-flight fill result) pairs, one
+  /// per line.
+  using InflightTable = std::vector<std::pair<Addr, MemAccessResult>>;
+
   MemAccessResult access(Addr addr, bool is_write, Cycle now);
   /// Route a dirty L1 victim into L2 (and, transitively, to DRAM).
   void handle_l1_writeback(Addr line_addr, Cycle now);

@@ -57,7 +57,7 @@ void collect_unknown(const KvConfig& kv, bool with_multicore,
       "config", "workload", "policy",   "csv",      "seeds", "list",
       "help",   "jobs",     "cache-dir", "no-cache", "progress", "runlog",
       "fast-forward", "dram-power", "dram-standard", "page-policy",
-      "replay", "checkpoint-stride", "print-metrics", "metrics-out",
+      "replay", "print-metrics", "metrics-out",
       "trace-out", "trace-buf", "trace", "trace-name", "sample-regions",
       "sample-clusters", "sample-warmup", "sample-seed", "sample-sig-cache"};
   for (const auto& [key, value] : kv.all()) {

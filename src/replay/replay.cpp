@@ -11,22 +11,8 @@ StallTimeline record_timeline(const SimConfig& config,
   StallTimeline tl;
   tl.config = config;
   tl.profile = profile;
-  // The hook reads the recorder's sinks live: at capture time they hold
-  // exactly the events resolved so far, which is the prefix a resumed
-  // controller must be fed (SimCheckpoint::windows).  At the warmup
-  // boundary the measured sink is still empty, so the count is the warmup
-  // event total — matching the boundary reset semantics.
-  Simulator::CheckpointHook hook;
-  if (config.checkpoint_stride > 0) {
-    hook = [&tl](const Core& core, const MemoryHierarchy& mem,
-                 std::uint64_t instr_pos, bool in_warmup) {
-      tl.checkpoints.push_back(capture_checkpoint(
-          core, mem, instr_pos, in_warmup,
-          tl.record.warmup_stalls.size() + tl.record.stalls.size()));
-    };
-  }
   tl.reference = std::make_shared<const SimResult>(
-      Simulator(config).run_recorded(profile, "none", tl.record, hook));
+      Simulator(config).run_recorded(profile, "none", tl.record));
   MAPG_OBS_COUNTER_INC("sim.replay.timelines");
   return tl;
 }
@@ -37,17 +23,8 @@ StallTimeline record_timeline_traced(const SimConfig& config,
   StallTimeline tl;
   tl.config = config;
   tl.profile.name = workload_name;  // stub: replay reads only the name
-  Simulator::CheckpointHook hook;
-  if (config.checkpoint_stride > 0) {
-    hook = [&tl](const Core& core, const MemoryHierarchy& mem,
-                 std::uint64_t instr_pos, bool in_warmup) {
-      tl.checkpoints.push_back(capture_checkpoint(
-          core, mem, instr_pos, in_warmup,
-          tl.record.warmup_stalls.size() + tl.record.stalls.size()));
-    };
-  }
   tl.reference = std::make_shared<const SimResult>(Simulator(config).run_recorded(
-      trace, workload_name, "none", tl.record, hook));
+      trace, workload_name, "none", tl.record));
   MAPG_OBS_COUNTER_INC("sim.replay.timelines");
   return tl;
 }

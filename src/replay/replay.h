@@ -22,23 +22,18 @@
 // it goes.  The first penalized window voids the equivalence — a penalty
 // shifts all later timing, refresh alignment, and DRAM state — so the
 // replayer bails out (ReplayOutcome::ok == false) and the caller falls back
-// to direct simulation for that cell.  The fallback no longer has to start
-// from cycle 0: record_timeline also captures periodic architectural
-// checkpoints, and resume_policy (replay/checkpoint.h) continues direct
-// simulation from the latest checkpoint before the first penalized window.
-// tests/test_replay.cpp proves replay == direct JSON-identical for eligible
-// cells and byte-identical fallback; tests/test_checkpoint.cpp proves the
-// same for prefix-resume at every checkpoint index.
+// to direct simulation of that cell over the shared materialized trace
+// (SharedTraceView).  tests/test_replay.cpp proves replay == direct
+// JSON-identical for eligible cells and byte-identical fallback, on
+// generator and on traced, phased timelines.
 //
 // Layering: exec -> replay -> core.  Nothing in core depends on replay.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/sim.h"
-#include "replay/checkpoint.h"
 
 namespace mapg {
 
@@ -50,10 +45,6 @@ struct StallTimeline {
   WorkloadProfile profile;
   RunRecord record;
   std::shared_ptr<const SimResult> reference;
-  /// Architectural checkpoints captured during the recording run, in
-  /// instruction order: one at every config.checkpoint_stride boundary plus
-  /// one at the warmup boundary (post-reset).  Empty when the stride is 0.
-  std::vector<SimCheckpoint> checkpoints;
 };
 
 /// Run the `none` reference once and capture the timeline.  Deterministic
@@ -65,8 +56,8 @@ StallTimeline record_timeline(const SimConfig& config,
 /// Trace-source variant: records the reference from an externally provided
 /// stream (e.g. a file-trace window in sampled simulation, src/sample)
 /// instead of a profile's generator.  The timeline's `profile` is a stub
-/// carrying only `workload_name` — replay_policy and resume_policy consult
-/// nothing else (they feed recorded events / the materialized trace), so
+/// carrying only `workload_name` — replay_policy consults nothing else (it
+/// feeds recorded events), and a fallback reads the materialized trace, so
 /// every replay tier applies to traced timelines unchanged.
 StallTimeline record_timeline_traced(const SimConfig& config,
                                      TraceSource& trace,
@@ -75,8 +66,9 @@ StallTimeline record_timeline_traced(const SimConfig& config,
 struct ReplayOutcome {
   /// true: every window resolved with resume == data_ready and `result` is
   /// bit-identical to a direct run.  false: a window was penalized (windows
-  /// counts how many were replayed, the last one being the penalized one);
-  /// the caller must fall back to direct simulation.
+  /// counts how many were replayed, the last one being the penalized one,
+  /// so its index is windows - 1); the caller must fall back to direct
+  /// simulation.
   bool ok = false;
   std::uint64_t windows = 0;  ///< windows replayed (warmup + measured)
   SimResult result;           ///< valid only when ok
@@ -84,9 +76,8 @@ struct ReplayOutcome {
 
 /// Replay the timeline under `policy_spec`.  Throws std::invalid_argument
 /// on an unknown spec (same contract as Simulator::run).  Increments the
-/// sim.replay.{windows,cells} obs counters; fallback accounting is the
-/// caller's job (it alone knows whether a prefix-resume saved the cell or
-/// a full from-zero simulation was needed — sim.replay.full_fallbacks).
+/// sim.replay.{windows,cells} obs counters; fallback accounting
+/// (sim.replay.full_fallbacks) is the caller's job.
 ReplayOutcome replay_policy(const StallTimeline& timeline,
                             const std::string& policy_spec);
 

@@ -110,16 +110,11 @@ const StallTimeline& SampledRunner::timeline_for(std::size_t cluster) {
 
 SimResult SampledRunner::simulate_cell(const StallTimeline& timeline,
                                        const std::string& policy_spec) const {
-  // Same tier ladder as the experiment engine's replay groups: exact replay
-  // first, checkpoint prefix-resume second, direct simulation over the
-  // materialized window last.  Every tier is bit-identical to direct.
+  // Same tier ladder as the experiment engine's replay groups: exact replay,
+  // else direct simulation over the materialized window.  Both are
+  // bit-identical to direct.
   const ReplayOutcome replayed = replay_policy(timeline, policy_spec);
   if (replayed.ok) return replayed.result;
-  if (!timeline.checkpoints.empty() && replayed.windows > 0) {
-    const ResumeOutcome resumed =
-        resume_policy(timeline, policy_spec, replayed.windows - 1);
-    if (resumed.ok) return resumed.result;
-  }
   SharedTraceView view(timeline.record.trace);
   return Simulator(timeline.config)
       .run(view, timeline.profile.name, policy_spec);

@@ -4,12 +4,12 @@
 // For every cluster representative the runner records one reference
 // timeline over the representative's trace window — warmup clamped to the
 // prefix available before the region — and then serves each requested
-// policy through the SAME three tiers the experiment engine uses for
-// generated workloads (replay exact -> checkpoint prefix-resume -> direct
-// fallback over the materialized window).  Per-representative results are
-// therefore bit-identical to directly simulating that window; approximation
-// enters ONLY in the projection step, where extensive metrics are scaled by
-// cluster weights and summed:
+// policy through the SAME tiers the experiment engine uses for generated
+// workloads (exact replay, else direct fallback over the materialized
+// window).  Per-representative results are therefore bit-identical to
+// directly simulating that window; approximation enters ONLY in the
+// projection step, where extensive metrics are scaled by cluster weights
+// and summed:
 //
 //   m_hat = sum_k w_k * m_k,   w_k = (sum_{r in k} len_r) / len_{rep_k}
 //

@@ -413,7 +413,6 @@ Frame ServeServer::handle_stats() {
   serve["timelines_recorded"] = Json::number(ss.timelines_recorded);
   serve["timelines_reused"] = Json::number(ss.timelines_reused);
   serve["replay_fallbacks"] = Json::number(ss.replay_fallbacks);
-  serve["replay_prefix_resumes"] = Json::number(ss.replay_prefix_resumes);
   serve["timelines_cached"] = Json::number(tiered_->timelines_cached());
   serve["shards"] = Json::number(shards_.size());
   doc["serve"] = std::move(serve);

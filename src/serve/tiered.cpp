@@ -42,8 +42,7 @@ TieredExecutor::TieredExecutor(ExperimentEngine& engine,
          {"serve.cells", "serve.coalesced", "serve.hit.hot",
           "serve.hit.cache", "serve.hit.replay", "serve.compute",
           "serve.errors", "serve.timeline.recorded",
-          "serve.timeline.reused", "serve.replay.fallbacks",
-          "serve.replay.prefix_resumes"})
+          "serve.timeline.reused", "serve.replay.fallbacks"})
       reg.counter(name);
   })
 }
@@ -160,37 +159,19 @@ ServeOutcome TieredExecutor::resolve(const ExperimentJob& job,
         out.tier = Tier::kReplay;
         return out;
       }
-      // Penalized window: resume direct simulation from the latest
-      // checkpoint before it (replay/checkpoint.h) when one exists.
-      if (!replay_threw && !timeline->checkpoints.empty() &&
-          replayed.windows > 0) {
-        ResumeOutcome resumed =
-            resume_policy(*timeline, job.policy_spec, replayed.windows - 1);
-        if (resumed.ok) {
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.replay_prefix_resumes;
-          }
-          MAPG_OBS_COUNTER_INC("serve.replay.prefix_resumes");
-          out.job.result =
-              engine_.cache().store(key, std::move(resumed.result));
-          out.job.ok = true;
-          out.job.from_resume = true;
-          out.job.wall_ms = now_ms() - t0;
-          out.tier = Tier::kCompute;  // a (shortened) simulation, not a replay
-          return out;
-        }
-      }
+      std::optional<std::uint64_t> fallback_window;
       if (!replay_threw) {
+        fallback_window = replayed.windows - 1;
         {
           std::lock_guard<std::mutex> lk(mu_);
           ++stats_.replay_fallbacks;
         }
         MAPG_OBS_COUNTER_INC("serve.replay.fallbacks");
       }
-      // Full fallback (or bad spec): direct simulation from cycle 0 over
-      // the shared trace buffer — bit-identical to a generator-fed run.
-      out.job = engine_.run_one_traced(job, timeline->record.trace);
+      // Penalized window (or bad spec): direct simulation over the shared
+      // trace buffer — bit-identical to a generator-fed run.
+      out.job = engine_.run_one_traced(job, timeline->record.trace,
+                                       fallback_window);
       out.tier = out.job.ok ? Tier::kCompute : Tier::kError;
       return out;
     }

@@ -12,12 +12,10 @@
 // does within a batch), keeps it in a small LRU, and any later request
 // whose cell belongs to the same group — tomorrow's query for a new policy
 // on a known platform — replays instead of simulating.  Cells whose replay
-// hits a penalized window resume direct simulation from the timeline's
-// latest architectural checkpoint before that window (replay/checkpoint.h),
-// falling back to a from-zero run over the shared trace buffer
-// (exec::run_one_traced) when no checkpoint is eligible — either way
-// preserving the bit-identity contract: every tier returns the same bytes a
-// batch ExperimentEngine run would (tests/test_serve.cpp, CI serve smoke).
+// hits a penalized window fall back to a direct run over the timeline's
+// shared trace buffer (exec::run_one_traced), preserving the bit-identity
+// contract: every tier returns the same bytes a batch ExperimentEngine run
+// would (tests/test_serve.cpp, CI serve smoke).
 //
 // Thread-safe; shared by all server connections.
 #pragma once
@@ -64,12 +62,9 @@ struct ServeStats {
   std::uint64_t errors = 0;
   std::uint64_t timelines_recorded = 0;
   std::uint64_t timelines_reused = 0;
-  /// Replays abandoned on a penalized window that fell back to a FULL
-  /// direct simulation from cycle 0.
+  /// Replays abandoned on a penalized window that fell back to a full
+  /// direct simulation over the timeline's trace.
   std::uint64_t replay_fallbacks = 0;
-  /// Replays abandoned on a penalized window that instead resumed direct
-  /// simulation from an architectural checkpoint (replay/checkpoint.h).
-  std::uint64_t replay_prefix_resumes = 0;
 };
 
 struct TieredOptions {

@@ -113,9 +113,7 @@ class SharedTraceView final : public SeekableTraceSource {
   void reset() override { pos_ = 0; }
 
   /// Position the cursor at an absolute instruction index (clamped to the
-  /// buffer end).  Prefix-resume (src/replay/checkpoint.h) uses this to
-  /// continue a run from a checkpoint's trace position instead of replaying
-  /// the prefix through the core.
+  /// buffer end).
   void seek(std::uint64_t pos) override {
     pos_ = pos < instrs_->size() ? pos : instrs_->size();
   }

@@ -7,7 +7,6 @@
 #include "common/prng.h"
 #include "cpu/core.h"
 #include "mem/hierarchy.h"
-#include "replay/checkpoint.h"
 #include "trace/trace_io.h"
 
 namespace mapg {
@@ -423,36 +422,6 @@ TEST(CoreRing, OddWindowMatchesAWideWindow) {
   EXPECT_EQ(got.mlp_limit_stalls, want.mlp_limit_stalls);
   EXPECT_GT(got.stalls_dram, 100u);
   EXPECT_GT(got.stalls_other, 100u);
-}
-
-TEST(CoreRing, ExportImportMidRingResumesIdentically) {
-  const std::vector<Instr> prog = ring_program(40'000);
-  // 12'345 % 97 = 26: the checkpoint lands mid-ring, with live blockers.
-  const std::size_t split = 12'345;
-  const CoreConfig cfg{.scoreboard_window = kOddWindow};
-
-  MemoryHierarchy mem_a(HierarchyConfig{});
-  Core a(cfg, mem_a);
-  VectorTraceSource src_a(prog);
-  a.run(src_a, split);
-  const Core::State core_state = a.export_state();
-  const MemoryHierarchy::State mem_state = mem_a.export_state();
-  a.run(src_a, prog.size() - split);
-
-  MemoryHierarchy mem_b(HierarchyConfig{});
-  Core b(cfg, mem_b);
-  b.import_state(core_state);
-  mem_b.import_state(mem_state);
-  VectorTraceSource src_b(
-      std::vector<Instr>(prog.begin() + static_cast<std::ptrdiff_t>(split),
-                         prog.end()));
-  b.run(src_b, prog.size() - split);
-
-  EXPECT_GT(a.stats().stalls_dram, 100u);
-  EXPECT_EQ(checkpoint_fingerprint(
-                capture_checkpoint(b, mem_b, prog.size(), false, 0)),
-            checkpoint_fingerprint(
-                capture_checkpoint(a, mem_a, prog.size(), false, 0)));
 }
 
 }  // namespace

@@ -334,30 +334,6 @@ TEST(Sched, StarvationBoundHolds) {
   EXPECT_LE(s.write_queue_peak, static_cast<std::uint64_t>(c.queue_depth) + 1);
 }
 
-// Checkpoint-shaped round trip: export with writes in flight, import into a
-// fresh Dram, and the replayed future (drain + reads) is bit-identical.
-TEST(Sched, ExportImportPreservesPendingWrites) {
-  DramConfig c;
-  c.channels = 1;
-  c.queue_depth = 8;
-  Dram a(c);
-  a.access(make_line(c, 0, 0, 5), false, 1000);
-  a.access(make_line(c, 0, 1, 7), true, 1500);
-  a.access(make_line(c, 0, 2, 9), true, 1600);
-
-  Dram b(c);
-  b.import_state(a.export_state());
-
-  const DramResult ra = a.access(make_line(c, 0, 1, 8), false, 2500);
-  const DramResult rb = b.access(make_line(c, 0, 1, 8), false, 2500);
-  EXPECT_EQ(ra.completion, rb.completion);
-  EXPECT_EQ(ra.outcome, rb.outcome);
-  a.settle_power(4000);
-  b.settle_power(4000);
-  EXPECT_EQ(a.stats().writes, b.stats().writes);
-  EXPECT_EQ(a.stats().write_wait_cycles, b.stats().write_wait_cycles);
-}
-
 // ---------------------------------------------------------------------------
 // Page-policy axis
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "exec/runner.h"
 #include "exec/serialize.h"
 #include "exec/thread_pool.h"
+#include "replay/replay.h"
 #include "trace/profile.h"
 
 namespace mapg {
@@ -144,6 +146,18 @@ TEST(Serialize, CacheKeyIgnoresCosmeticDescription) {
   const std::string base = cache_key(cfg, p, "mapg");
   p.description = "reworded";
   EXPECT_EQ(cache_key(cfg, p, "mapg"), base);
+}
+
+TEST(Serialize, CacheKeyIgnoresExecutionStrategy) {
+  // One identity rule: the stall kernel is an execution strategy, like
+  // --jobs.  Both kernels give bit-identical results
+  // (tests/test_differential.cpp), so they share cache entries.
+  SimConfig fast = tiny_config();
+  fast.fast_forward = true;
+  SimConfig stepped = fast;
+  stepped.fast_forward = false;
+  const WorkloadProfile& p = *find_profile("mcf-like");
+  EXPECT_EQ(cache_key(fast, p, "mapg"), cache_key(stepped, p, "mapg"));
 }
 
 // --- ResultCache ---
@@ -325,6 +339,56 @@ TEST(ExperimentEngine, WarmDiskCacheRunsZeroSimulations) {
     EXPECT_TRUE(o.ok);
     EXPECT_TRUE(o.from_cache);
   }
+}
+
+TEST(ExperimentEngine, RunlogNamesTheFallbackWindow) {
+  // A replay fallback says where it fell back: the first penalized
+  // window's index, in the outcome and in the run log.  Exact replays and
+  // the reference cell carry no such field.
+  TempDir dir("engine_runlog");
+  std::filesystem::create_directories(dir.path());
+  const std::string log_path = (dir.path() / "run.jsonl").string();
+  SweepSpec spec;
+  spec.base = tiny_config();
+  spec.workloads = {*find_profile("mcf-like")};
+  spec.policy_specs = {"none", "mapg", "idle-timeout:64"};
+
+  ExecOptions opts;
+  opts.jobs = 1;
+  opts.use_disk_cache = false;
+  opts.log_jsonl = log_path;
+  std::uint64_t want_window = 0;
+  {
+    ExperimentEngine engine(opts);
+    const SweepResult r = engine.run_sweep(spec);
+    EXPECT_FALSE(r.at(0, 0, 1).fallback_window.has_value());
+    ASSERT_TRUE(r.at(0, 0, 2).fallback_window.has_value());
+    const ReplayOutcome replayed = replay_policy(
+        record_timeline(spec.base, spec.workloads[0]), "idle-timeout:64");
+    ASSERT_FALSE(replayed.ok);
+    want_window = replayed.windows - 1;
+    EXPECT_EQ(*r.at(0, 0, 2).fallback_window, want_window);
+  }
+
+  std::ifstream in(log_path);
+  std::string line;
+  std::size_t job_lines = 0;
+  while (std::getline(in, line)) {
+    std::string err;
+    const std::optional<Json> j = Json::parse(line, &err);
+    ASSERT_TRUE(j.has_value()) << err;
+    if (j->find("policy") == nullptr) continue;  // closing metrics line
+    ++job_lines;
+    const std::string policy = j->get("policy").as_string();
+    const Json* window = j->find("fallback_window");
+    if (policy == "idle-timeout:64") {
+      ASSERT_NE(window, nullptr) << line;
+      EXPECT_EQ(window->as_u64(), want_window);
+    } else {
+      EXPECT_EQ(window, nullptr) << line;
+    }
+  }
+  EXPECT_EQ(job_lines, 3u);
 }
 
 TEST(ExperimentEngine, NoCacheOptionSkipsDiskTier) {

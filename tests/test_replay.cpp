@@ -19,7 +19,9 @@
 #include "exec/serialize.h"
 #include "obs/obs.h"
 #include "replay/replay.h"
+#include "trace/generator.h"
 #include "trace/profile.h"
+#include "trace/trace_io.h"
 
 namespace mapg {
 namespace {
@@ -126,10 +128,8 @@ TEST(Replay, ObsCountersAdvance) {
 
   EXPECT_EQ(reg.counter("sim.replay.timelines").value(), tls0 + 1);
   EXPECT_EQ(reg.counter("sim.replay.cells").value(), cells0 + 1);
-  // Fallback accounting moved to the callers (engine / serve layers),
-  // which know whether the failed replay became a checkpoint resume or a
-  // full from-zero fallback; replay_policy itself reports failure only
-  // through its return value.
+  // Fallback accounting belongs to the callers (engine / serve layers);
+  // replay_policy itself reports failure only through its return value.
   EXPECT_EQ(reg.counter("sim.replay.full_fallbacks").value(), fb0);
 }
 
@@ -173,6 +173,50 @@ TEST(Replay, EngineSweepWithFallbacksIsByteIdentical) {
   EXPECT_EQ(replay.stats().jobs_run + replay.stats().jobs_replayed,
             sweep.workloads.size() * sweep.policy_specs.size());
   EXPECT_EQ(direct.stats().jobs_replayed, 0u);
+}
+
+TEST(Replay, PhasedTracedTimelineMatchesDirect) {
+  // R-Tab.6's setup: 2x transition overhead and a trace alternating
+  // between mcf-like and a loose-dependency stream, recorded from a trace
+  // source rather than a profile.  For every tab6 policy the tier answer
+  // (exact replay, else a direct run over the recorded trace, as in
+  // SampledRunner::simulate_cell) must serialize like a direct run on a
+  // fresh generator.  Both tiers must be exercised.
+  SimConfig cfg = small_config(42);
+  cfg.pg.overhead_scale = 2.0;
+  const WorkloadProfile mem_phase = *find_profile("mcf-like");
+  WorkloadProfile short_phase = *find_profile("libquantum-like");
+  short_phase.name = "stream-loose";
+  short_phase.dep_dist_mean = 24;
+
+  std::size_t exact = 0, fallbacks = 0;
+  for (const std::uint64_t phase_len : {2'000ull, 10'000ull}) {
+    PhasedTraceGenerator recorded(mem_phase, short_phase, phase_len,
+                                  cfg.run_seed);
+    const StallTimeline tl = record_timeline_traced(cfg, recorded, "phased");
+    for (const char* spec : {"mapg", "mapg-history", "mapg-hybrid", "oracle",
+                             "idle-timeout:64", "mapg-aggressive"}) {
+      const std::string what =
+          std::string(spec) + " phase_len=" + std::to_string(phase_len);
+      PhasedTraceGenerator fresh(mem_phase, short_phase, phase_len,
+                                 cfg.run_seed);
+      const std::string want =
+          dump(Simulator(cfg).run(fresh, "phased", spec));
+      const ReplayOutcome out = replay_policy(tl, spec);
+      if (out.ok) {
+        ++exact;
+        EXPECT_EQ(dump(out.result), want) << what;
+      } else {
+        ++fallbacks;
+        SharedTraceView view(tl.record.trace);
+        EXPECT_EQ(dump(Simulator(tl.config).run(view, tl.profile.name, spec)),
+                  want)
+            << what;
+      }
+    }
+  }
+  EXPECT_GT(exact, 0u);
+  EXPECT_GT(fallbacks, 0u);
 }
 
 }  // namespace
