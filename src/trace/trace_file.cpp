@@ -8,15 +8,12 @@
 namespace mapg {
 namespace {
 
-constexpr std::array<char, 8> kMagicV1 = {'M', 'A', 'P', 'G',
-                                          'T', 'R', 'C', '1'};
 constexpr std::array<char, 8> kMagicV2 = {'M', 'A', 'P', 'G',
                                           'T', 'R', 'C', '2'};
 constexpr std::size_t kRecordSize = 1 + 2 + 8;
 constexpr std::size_t kV2HeaderSize = 8 + 4 * 8;  ///< magic + 4 u64 fields
 constexpr std::size_t kIndexEntrySize = 3 * 8;
-constexpr std::size_t kV1HeaderSize = 8 + 8;
-/// Same defensive cap as the v1 reader: refuse absurd headers, not OOM.
+/// Refuse absurd headers rather than attempt a huge allocation.
 constexpr std::uint64_t kMaxRecords = 1ULL << 40;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 /// Chunks digest-checked together by one FileTraceSource::verify_group pass.
@@ -223,50 +220,11 @@ FileTraceSource::FileTraceSource(const std::string& path)
   is_.read(magic.data(), magic.size());
   if (!is_) throw std::runtime_error(path + ": truncated magic");
 
-  if (magic == kMagicV1) {
-    char header[8];
-    is_.read(header, 8);
-    if (!is_) throw std::runtime_error(path + ": truncated MAPGTRC1 header");
-    info_.version = 1;
-    info_.records = get_u64(header);
-    if (info_.records > kMaxRecords)
-      throw std::runtime_error(path + ": record count too large");
-    if (file_size < kV1HeaderSize + info_.records * kRecordSize)
-      throw std::runtime_error(
-          path + ": file shorter than the header's record count");
-    info_.chunk_size = std::max<std::uint64_t>(info_.records, 1);
-    info_.n_chunks = info_.records > 0 ? 1 : 0;
-    // v1 carries no digest: one streaming scan computes it (and is the only
-    // whole-file pass this reader ever makes).
-    std::vector<char> block(1 << 20);
-    std::uint64_t left = info_.records * kRecordSize;
-    std::uint64_t digest = kTraceDigestSeed;
-    while (left > 0) {
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(left, block.size()));
-      is_.read(block.data(), static_cast<std::streamsize>(take));
-      if (!is_) throw std::runtime_error(path + ": short read scanning v1");
-      digest = trace_digest_update(block.data(), take, digest);
-      left -= take;
-    }
-    info_.stream_digest = digest;
-    ChunkMeta meta;
-    meta.offset = kV1HeaderSize;
-    meta.records = info_.records;
-    meta.digest = digest;
-    if (info_.records > 0) chunks_.push_back(meta);
-    // The open scan just digested the whole payload, so the single v1
-    // chunk is already verified.
-    verdict_.assign(chunks_.size(), Verdict::kIntact);
-    return;
-  }
-
   if (magic != kMagicV2)
-    throw std::runtime_error(path + ": not a MAPGTRC1/MAPGTRC2 trace");
+    throw std::runtime_error(path + ": not a MAPGTRC2 trace");
   char header[kV2HeaderSize - 8];
   is_.read(header, sizeof header);
   if (!is_) throw std::runtime_error(path + ": truncated MAPGTRC2 header");
-  info_.version = 2;
   info_.records = get_u64(header);
   info_.chunk_size = get_u64(header + 8);
   info_.n_chunks = get_u64(header + 16);
@@ -403,8 +361,7 @@ void FileTraceSource::load_chunk(std::uint64_t chunk_index) {
 
 bool FileTraceSource::next(Instr& out) {
   if (pos_ >= info_.records) return false;
-  const std::uint64_t chunk =
-      info_.version == 1 ? 0 : pos_ / info_.chunk_size;
+  const std::uint64_t chunk = pos_ / info_.chunk_size;
   if (chunk != buf_chunk_) load_chunk(chunk);
   const std::uint64_t local = pos_ - buf_first_;
   out = unpack_record(buf_.data() + local * kRecordSize, pos_);
@@ -416,8 +373,7 @@ std::size_t FileTraceSource::next_batch(InstrBlock& out, std::size_t max) {
   out.clear();
   if (max > InstrBlock::kCapacity) max = InstrBlock::kCapacity;
   while (out.count < max && pos_ < info_.records) {
-    const std::uint64_t chunk =
-        info_.version == 1 ? 0 : pos_ / info_.chunk_size;
+    const std::uint64_t chunk = pos_ / info_.chunk_size;
     if (chunk != buf_chunk_) load_chunk(chunk);
     const std::uint64_t chunk_end = buf_first_ + chunks_[chunk].records;
     const std::size_t take = static_cast<std::size_t>(

@@ -116,21 +116,25 @@ TEST(Replay, UnknownSpecThrows) {
 }
 
 TEST(Replay, ObsCountersAdvance) {
+#if MAPG_OBS_ENABLED
   auto& reg = obs::MetricsRegistry::instance();
   const std::uint64_t cells0 = reg.counter("sim.replay.cells").value();
   const std::uint64_t tls0 = reg.counter("sim.replay.timelines").value();
   const std::uint64_t fb0 = reg.counter("sim.replay.full_fallbacks").value();
+#endif
 
   const SimConfig cfg = small_config(3);
   const StallTimeline tl = record_timeline(cfg, *find_profile("mcf-like"));
   ASSERT_TRUE(replay_policy(tl, "mapg").ok);
   ASSERT_FALSE(replay_policy(tl, "idle-timeout:64").ok);
 
+#if MAPG_OBS_ENABLED
   EXPECT_EQ(reg.counter("sim.replay.timelines").value(), tls0 + 1);
   EXPECT_EQ(reg.counter("sim.replay.cells").value(), cells0 + 1);
   // Fallback accounting belongs to the callers (engine / serve layers);
   // replay_policy itself reports failure only through its return value.
   EXPECT_EQ(reg.counter("sim.replay.full_fallbacks").value(), fb0);
+#endif
 }
 
 TEST(Replay, EngineSweepWithFallbacksIsByteIdentical) {

@@ -1,13 +1,13 @@
 // Trace ingestion + sampled simulation suite (docs/TRACE.md).
 //
-// Pins the contracts the sampling pipeline is allowed to claim: the two
-// on-disk formats carry the identical stream (and the identical
-// content digest), the reader throws on damage instead of reporting a
-// short trace, the text converters produce exactly the documented
-// records, plans are deterministic functions of (content, config) — across
-// runs, thread counts, and the MAPGSIG1 signature cache — the block-fed
-// signature scan equals a per-record reference bit for bit, lying count
-// fields are malformed input rather than allocations, and the degenerate
+// Pins the contracts the sampling pipeline is allowed to claim: chunking
+// changes neither the stream nor its content digest, the reader throws on
+// damage (or a retired format) instead of reporting a short trace, the
+// text converters produce exactly the documented records, plans are
+// deterministic functions of (content, config) — across runs, thread
+// counts, and the MAPGSIG1 signature cache — the block-fed signature scan
+// equals a per-record reference bit for bit, lying count fields are
+// malformed input rather than allocations, and the degenerate
 // clusters >= regions case is bit-identical to full simulation.
 #include <gtest/gtest.h>
 
@@ -98,34 +98,53 @@ void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
 
 // --- formats ---------------------------------------------------------------
 
-TEST(TraceFile, V1AndV2CarryTheIdenticalStreamAndDigest) {
+TEST(TraceFile, ChunkingChangesNeitherStreamNorDigest) {
   const std::vector<Instr> ref = generate("mcf-like", 200'000);
-  TempFile v1(tmp_path("v1")), v2(tmp_path("v2")), v2small(tmp_path("v2s"));
+  TempFile big(tmp_path("default")), small(tmp_path("small"));
   {
     VectorTraceSource s(ref);
-    ASSERT_TRUE(write_trace_file(v1.path, s, ref.size()));
-  }
-  {
-    VectorTraceSource s(ref);
-    ASSERT_TRUE(write_trace_file_v2(v2.path, s, ref.size()));
+    ASSERT_TRUE(write_trace_file_v2(big.path, s, ref.size()));
   }
   {
     // Chunking is framing, not content: a different chunk size must change
     // neither the stream nor the digest.
     VectorTraceSource s(ref);
-    ASSERT_TRUE(write_trace_file_v2(v2small.path, s, ref.size(), nullptr,
+    ASSERT_TRUE(write_trace_file_v2(small.path, s, ref.size(), nullptr,
                                     /*chunk_size=*/1000));
   }
-  EXPECT_TRUE(same_stream(ref, read_all(v1.path)));
-  EXPECT_TRUE(same_stream(ref, read_all(v2.path)));
-  EXPECT_TRUE(same_stream(ref, read_all(v2small.path)));
+  EXPECT_TRUE(same_stream(ref, read_all(big.path)));
+  EXPECT_TRUE(same_stream(ref, read_all(small.path)));
 
-  FileTraceSource a(v1.path), b(v2.path), c(v2small.path);
-  EXPECT_EQ(a.info().version, 1);
-  EXPECT_EQ(b.info().version, 2);
+  FileTraceSource a(big.path), b(small.path);
   EXPECT_EQ(a.info().stream_digest, b.info().stream_digest);
-  EXPECT_EQ(b.info().stream_digest, c.info().stream_digest);
-  EXPECT_EQ(c.info().n_chunks, (ref.size() + 999) / 1000);
+  EXPECT_EQ(b.info().n_chunks, (ref.size() + 999) / 1000);
+}
+
+TEST(TraceFile, ShortSourceBackpatchesCountAndIndex) {
+  // Asked for 100 records from a 10-record source: the writer reserves
+  // index space for 100 and backpatches the header and index to the true
+  // length, at the default chunking and at one that leaves dead index
+  // entries behind the valid ones.
+  const std::vector<Instr> ref = generate("gcc-like", 10);
+  TempFile exact(tmp_path("exact"));
+  {
+    VectorTraceSource s(ref);
+    ASSERT_TRUE(write_trace_file_v2(exact.path, s, ref.size()));
+  }
+  const std::uint64_t want_digest =
+      FileTraceSource(exact.path).info().stream_digest;
+  for (const std::uint64_t chunk : {kTraceChunkRecords, std::uint64_t{4}}) {
+    TempFile t(tmp_path("short" + std::to_string(chunk)));
+    {
+      VectorTraceSource s(ref);
+      std::ofstream out(t.path, std::ios::binary);
+      EXPECT_EQ(write_trace_v2(out, s, 100, chunk), 10u);
+    }
+    FileTraceSource src(t.path);
+    EXPECT_EQ(src.info().records, 10u) << chunk;
+    EXPECT_EQ(src.info().stream_digest, want_digest) << chunk;
+    EXPECT_TRUE(same_stream(ref, read_all(t.path))) << chunk;
+  }
 }
 
 TEST(TraceFile, SeekWindowMatchesMaterializedSlice) {
@@ -181,6 +200,27 @@ TEST(TraceFile, TruncationAndCorruptionThrowRatherThanEndCleanly) {
     mutated[0] = 'X';
     std::ofstream(t.path, std::ios::binary) << mutated;
     EXPECT_THROW(FileTraceSource src(t.path), std::runtime_error);
+  }
+
+  // A well-formed file in the retired MAPGTRC1 layout (magic, u64 count,
+  // packed records) is rejected by its magic, never misread as a stream.
+  {
+    TempFile t(tmp_path("legacy"));
+    const std::size_t n = 3, first_payload = 40 + 5 * 24;
+    std::string legacy(16 + n * 11, '\0');
+    std::memcpy(legacy.data(), "MAPGTRC1", 8);
+    put_u64(legacy, 8, n);
+    std::memcpy(legacy.data() + 16, bytes.data() + first_payload, n * 11);
+    std::ofstream(t.path, std::ios::binary) << legacy;
+    try {
+      FileTraceSource src(t.path);
+      ADD_FAILURE() << "legacy trace opened with " << src.size()
+                    << " records";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("not a MAPGTRC2 trace"),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   // Flip one payload byte in the third chunk: open succeeds (the index is

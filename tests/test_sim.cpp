@@ -12,7 +12,7 @@
 #include "exec/runner.h"
 #include "multicore/config_apply.h"
 #include "pg/factory.h"
-#include "trace/trace_io.h"
+#include "trace/trace_file.h"
 
 namespace mapg {
 namespace {
@@ -284,16 +284,14 @@ TEST(Sim, FileTraceReproducesGeneratorRun) {
   TraceGenerator gen(*p, cfg.run_seed);
   const std::string path = ::testing::TempDir() + "mapg_sim_trace.bin";
   std::string err;
-  ASSERT_TRUE(write_trace_file(path, gen, 100'000, &err)) << err;
+  ASSERT_TRUE(write_trace_file_v2(path, gen, 100'000, &err)) << err;
 
   auto ctx = sim.policy_context();
   MapgPolicy policy(ctx, {});
   TraceGenerator gen2(*p, cfg.run_seed);
   const SimResult live = sim.run(gen2, "live", policy);
 
-  std::vector<Instr> frozen;
-  ASSERT_TRUE(read_trace_file(path, frozen, &err)) << err;
-  VectorTraceSource replay(frozen);
+  FileTraceSource replay(path);
   MapgPolicy policy2(ctx, {});
   const SimResult replayed = sim.run(replay, "replay", policy2);
 

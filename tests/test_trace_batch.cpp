@@ -2,10 +2,10 @@
 //
 // FileTraceSource::next_batch decodes on-disk records straight into an
 // InstrBlock's SoA lanes, and its contract is exactly "repeated next()": same
-// stream, same EOF position, same errors.  This suite pins that on both
-// on-disk formats across batch sizes that hit the interesting boundaries: 1
-// (degenerate), 7 (chunk-straddling odd size), 256 (full block), and sizes
-// that straddle EOF mid-batch.  It also pins the block decoder's error point
+// stream, same EOF position, same errors.  This suite pins that across batch
+// sizes that hit the interesting boundaries: 1 (degenerate), 7
+// (chunk-straddling odd size), 256 (full block), and sizes that straddle EOF
+// mid-batch.  It also pins the block decoder's error point
 // on a corrupted chunk (the same record as next()), the per-chunk digest
 // memo under seek-back, the grouped verification's error contract (a bad
 // chunk found early throws only when it is entered), and StallSeries
@@ -100,31 +100,17 @@ void expect_same_stream(const std::vector<Instr>& a,
   }
 }
 
-/// Batch sizes exercised on every format: degenerate, odd (so batches
-/// straddle chunk boundaries), a full block, and a size chosen so the final
-/// request straddles EOF whenever the stream length below is not a multiple
-/// of it.
+/// Batch sizes exercised: degenerate, odd (so batches straddle chunk
+/// boundaries), a full block, and a size chosen so the final request
+/// straddles EOF whenever the stream length below is not a multiple of it.
 const std::size_t kBatchSizes[] = {1, 7, 256, 100};
 
 /// Stream length of every test file: not a multiple of any batch size above
 /// (4099 is prime), so every size ends on a short, EOF-straddling batch;
-/// also not a multiple of the 1024-record chunking used for v2 files.
+/// also not a multiple of the 1024-record chunking used below.
 constexpr std::uint64_t kStreamLen = 4099;
 
-// --- property: next_batch == repeated next, per format ---------------------
-
-TEST(TraceBatch, FileV1MatchesScalar) {
-  const std::vector<Instr> ref = generate("mcf-like", kStreamLen);
-  TempFile f(tmp_path("v1"));
-  {
-    VectorTraceSource s(ref);
-    ASSERT_TRUE(write_trace_file(f.path, s, ref.size()));
-  }
-  for (const std::size_t b : kBatchSizes) {
-    FileTraceSource src(f.path);
-    expect_same_stream(ref, batch_read(src, b, kStreamLen + 10));
-  }
-}
+// --- property: next_batch == repeated next ---------------------------------
 
 TEST(TraceBatch, FileV2MatchesScalarAcrossChunkBoundaries) {
   const std::vector<Instr> ref = generate("omnetpp-like", kStreamLen);

@@ -9,12 +9,11 @@
 //   mapg_trace stats   --workload=lbm-like --count=500000   # from generator
 //   mapg_trace stats   --in=mcf.trc                         # from file
 //
-// gen/convert/filter write MAPGTRC2 by default (--format=v1 for the legacy
-// flat format); every file-reading subcommand accepts both versions through
-// the streaming FileTraceSource.  `convert` ingests text traces (dialects
-// `rw`: "R <addr>" / "W <addr>"; `dinero`: "0|1|2 <hexaddr>"; `champsim`:
-// "<hexip> <hexaddr> <L|S>", the IP validated then dropped) and `filter`
-// models a capture-side L1 that rewrites hits to ALU filler without
+// gen/convert/filter write MAPGTRC2; every file-reading subcommand reads it
+// through the streaming FileTraceSource.  `convert` ingests text traces
+// (dialects `rw`: "R <addr>" / "W <addr>"; `dinero`: "0|1|2 <hexaddr>";
+// `champsim`: "<hexip> <hexaddr> <L|S>", the IP validated then dropped) and
+// `filter` models a capture-side L1 that rewrites hits to ALU filler without
 // changing the instruction count (docs/TRACE.md).  `plan` previews the
 // sampled-simulation clustering without running anything.
 #include <algorithm>
@@ -41,29 +40,17 @@ int usage() {
       "usage: mapg_trace <gen|convert|inspect|filter|plan|info|stats> "
       "[options]\n"
       "  gen     --workload=NAME --count=N --out=FILE [--seed=N]\n"
-      "          [--format=v1|v2]\n"
       "  convert --in=TEXT --dialect=rw|dinero|champsim --out=FILE\n"
       "          [--dep-dist=N]\n"
       "          [--pad=N] [--filter-kb=N [--filter-ways=N] [--line=N]]\n"
-      "          [--format=v1|v2]\n"
       "  inspect --in=FILE [--chunks=1]\n"
       "  filter  --in=FILE --out=FILE --filter-kb=N [--filter-ways=N]\n"
-      "          [--line=N] [--format=v1|v2]\n"
+      "          [--line=N]\n"
       "  plan    --in=FILE [--regions=N] [--clusters=K] [--seed=N]\n"
       "          [--sig-cache=FILE]\n"
       "  info    --in=FILE\n"
       "  stats   (--workload=NAME --count=N [--seed=N]) | (--in=FILE)\n";
   return 2;
-}
-
-/// Write `source` to `out` in the requested on-disk format.
-bool write_out(const KvConfig& kv, const std::string& out,
-               TraceSource& source, std::uint64_t count, std::string& err) {
-  const std::string format = kv.get_or("format", "v2");
-  if (format == "v1") return write_trace_file(out, source, count, &err);
-  if (format == "v2") return write_trace_file_v2(out, source, count, &err);
-  err = "unknown --format '" + format + "' (want v1 or v2)";
-  return false;
 }
 
 int cmd_gen(const KvConfig& kv) {
@@ -77,7 +64,7 @@ int cmd_gen(const KvConfig& kv) {
   const std::string out = kv.get_or("out", name + ".trc");
   TraceGenerator gen(*p, kv.get_uint("seed", 42));
   std::string err;
-  if (!write_out(kv, out, gen, count, err)) {
+  if (!write_trace_file_v2(out, gen, count, &err)) {
     std::cerr << "write failed: " << err << "\n";
     return 1;
   }
@@ -105,7 +92,7 @@ int cmd_convert(const KvConfig& kv) {
     CacheFilter filter(kb * 1024, kv.get_uint("line", 64),
                        kv.get_uint("filter-ways", 4));
     FilteredTraceSource filtered(src, filter);
-    if (!write_out(kv, out, filtered, count, err)) {
+    if (!write_trace_file_v2(out, filtered, count, &err)) {
       std::cerr << "write failed: " << err << "\n";
       return 1;
     }
@@ -114,7 +101,7 @@ int cmd_convert(const KvConfig& kv) {
               << filter.misses() << " misses kept)\n";
     return 0;
   }
-  if (!write_out(kv, out, src, count, err)) {
+  if (!write_trace_file_v2(out, src, count, &err)) {
     std::cerr << "write failed: " << err << "\n";
     return 1;
   }
@@ -128,8 +115,7 @@ int cmd_inspect(const KvConfig& kv) {
     FileTraceSource src(in);
     const TraceFileInfo& info = src.info();
     Table t({"field", "value"});
-    t.begin_row().cell("format").cell("MAPGTRC" +
-                                      std::to_string(info.version));
+    t.begin_row().cell("format").cell("MAPGTRC2");
     t.begin_row().cell("records").cell(info.records);
     t.begin_row().cell("chunk size").cell(info.chunk_size);
     t.begin_row().cell("chunks").cell(info.n_chunks);
@@ -160,7 +146,7 @@ int cmd_filter(const KvConfig& kv) {
                        kv.get_uint("filter-ways", 4));
     FilteredTraceSource filtered(src, filter);
     std::string err;
-    if (!write_out(kv, out, filtered, src.size(), err)) {
+    if (!write_trace_file_v2(out, filtered, src.size(), &err)) {
       std::cerr << "write failed: " << err << "\n";
       return 1;
     }
@@ -213,9 +199,9 @@ int cmd_info(const KvConfig& kv) {
   const std::string in = kv.get_or("in", "");
   try {
     FileTraceSource src(in);
-    std::cout << in << ": " << src.size() << " instructions (MAPGTRC"
-              << src.info().version << ", digest "
-              << src.info().digest_hex() << ")\n";
+    std::cout << in << ": " << src.size()
+              << " instructions (MAPGTRC2, digest " << src.info().digest_hex()
+              << ")\n";
   } catch (const std::exception& e) {
     std::cerr << "read failed: " << e.what() << "\n";
     return 1;
